@@ -44,10 +44,6 @@ let args =
       ^ "); default all" );
     ("--csv", Arg.Set_string csv_dir, "DIR write CSV copies of the tables");
     ("--no-micro", Arg.Clear run_micro, " skip Bechamel micro-benchmarks");
-    ( "--no-kernel",
-      Arg.Unit (fun () -> Scenarios.Fastpath.set_enabled false),
-      " force every System.run onto the event loop (disable the fused \
-       gateway kernels; output is bit-identical either way)" );
     ( "--jobs",
       Arg.Int
         (fun n ->
@@ -218,22 +214,15 @@ let run_figures () =
 
 (* --- Bechamel micro-benchmarks of the hot kernels --- *)
 
-(* Fused-kernel path vs the event loop on the same ~1e6-event run (8k pps
-   payload through a 10k fires/s gateway for ~330k PIATs).  Both paths
-   produce bit-identical results; the kernel/eventloop ns ratio is the
-   fused-dispatch speedup. *)
-(* Jitter.none, not the default mechanistic model: at 8k pps the IRQ
-   blocking sum costs ~800 exponential draws per fire on BOTH paths and
-   would swamp the dispatch difference this micro isolates.  The 5-hop
-   uncongested chain raises the event density per tap observation
-   (arrival + fire + emission + 5 transmit-finishes + 5 deliveries
-   ≈ 13 events per PIAT), so the measurement weighs per-event dispatch,
-   not the per-observation recording work both paths share. *)
-(* Arrival-heavy single-gateway workload: Poisson payload at 4x the fire
-   rate keeps every event time on a continuous distribution (no exact-tie
-   fallbacks, unlike CIT hop chains whose constant service/propagation
-   delays put all times on a shared lattice) and weights the mix toward
-   arrival events, the cheapest path through the fused kernel. *)
+(* Fused-kernel path vs the event loop on the same ~1e6-event run (40k
+   pps payload through a 10k fires/s gateway for ~167k PIATs).  Both
+   paths produce bit-identical results; the kernel/eventloop ns ratio is
+   the fused-dispatch speedup.  Jitter.none, not the default mechanistic
+   model: at this payload rate the IRQ blocking sum costs hundreds of
+   exponential draws per fire on BOTH paths and would swamp the dispatch
+   difference this micro isolates.  Payload at 4x the fire rate weights
+   the mix toward arrival events, the cheapest path through the fused
+   kernel. *)
 let kernel_micro_cfg timer =
   {
     Scenarios.System.default_config with
@@ -247,12 +236,10 @@ let cit_1e6_cfg = kernel_micro_cfg (Padding.Timer.Constant 1e-4)
 let vit_1e6_cfg = kernel_micro_cfg (Padding.Timer.Exponential { mean = 1e-4 })
 
 let run_1e6 cfg ~kernel =
-  let was = Scenarios.Fastpath.enabled () in
-  Scenarios.Fastpath.set_enabled kernel;
-  Fun.protect
-    ~finally:(fun () -> Scenarios.Fastpath.set_enabled was)
-    (fun () ->
-      ignore (Scenarios.System.run cfg ~piats:167_000 : Scenarios.System.result))
+  let run =
+    if kernel then Scenarios.System.run else Scenarios.System.run_event_loop
+  in
+  ignore (run cfg ~piats:167_000 : Scenarios.System.result)
 
 let micro_tests () =
   let open Bechamel in

@@ -96,7 +96,6 @@ type resilience = {
   strict : bool;
   inject : string option;
   event_budget : int option;
-  no_kernel : bool;
 }
 
 let checkpoint_arg =
@@ -139,22 +138,13 @@ let event_budget_arg =
   in
   Arg.(value & opt (some int) None & info [ "event-budget" ] ~docv:"N" ~doc)
 
-let no_kernel_arg =
-  let doc =
-    "Force every simulation onto the event loop instead of the fused \
-     gateway kernels (same as TA_FORCE_EVENT_LOOP=1).  Output is \
-     bit-identical either way; only the desim.kernel.* counters and \
-     wall-clock time differ."
-  in
-  Arg.(value & flag & info [ "no-kernel" ] ~doc)
-
 let resilience_term =
-  let make checkpoint retries strict inject event_budget no_kernel =
-    { checkpoint; retries; strict; inject; event_budget; no_kernel }
+  let make checkpoint retries strict inject event_budget =
+    { checkpoint; retries; strict; inject; event_budget }
   in
   Term.(
     const make $ checkpoint_arg $ retries_arg $ strict_arg $ inject_arg
-    $ event_budget_arg $ no_kernel_arg)
+    $ event_budget_arg)
 
 let apply_resilience r =
   match Option.map Scenarios.Sweep.parse_injection r.inject with
@@ -168,7 +158,6 @@ let apply_resilience r =
           | Some n when n < 1 ->
               `Error (false, Printf.sprintf "event budget must be >= 1, got %d" n)
           | _ ->
-              if r.no_kernel then Scenarios.Fastpath.set_enabled false;
               Scenarios.Sweep.set_checkpoint_dir r.checkpoint;
               Option.iter Scenarios.Sweep.set_retries r.retries;
               Scenarios.Sweep.set_strict r.strict;

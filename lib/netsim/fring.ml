@@ -40,6 +40,21 @@ let pop t =
   t.len <- t.len - 1;
   x
 
+(* One loop over the raw store: this runs on every event-loop link send. *)
+let drop_le t x =
+  let data = t.data in
+  let cap = Float.Array.length data in
+  let dropping = ref true in
+  while !dropping && t.len > 0 do
+    let front = Float.Array.unsafe_get data t.head in
+    if front <= x then begin
+      let head = t.head + 1 in
+      t.head <- (if head = cap then 0 else head);
+      t.len <- t.len - 1
+    end
+    else dropping := false
+  done
+
 let clear t =
   t.head <- 0;
   t.len <- 0

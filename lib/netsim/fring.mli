@@ -21,5 +21,9 @@ val pop : t -> float
 (** Remove and return the front element.  Raises [Invalid_argument] when
     empty. *)
 
+val drop_le : t -> float -> unit
+(** [drop_le t x] pops front elements while they are [<= x] — on a
+    ring kept in ascending order, every element up to [x]. *)
+
 val clear : t -> unit
 (** Empty the ring, keeping its capacity. *)

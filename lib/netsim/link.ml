@@ -7,8 +7,8 @@ type t = {
   queue_limit : int option;
   dest : port;
   created_at : float;
+  finishes : Fring.t; (* finish times of accepted packets, oldest first *)
   mutable busy_until : float;
-  mutable queue_depth : int;
   mutable queue_hwm : int;
   mutable sent : int;
   mutable dropped : int;
@@ -32,18 +32,27 @@ let create sim ~bandwidth_bps ?(propagation = 0.0) ?queue_limit ~dest () =
     queue_limit;
     dest;
     created_at = Desim.Sim.now sim;
+    finishes = Fring.create ();
     busy_until = Desim.Sim.now sim;
-    queue_depth = 0;
     queue_hwm = 0;
     sent = 0;
     dropped = 0;
     busy_time = 0.0;
   }
 
+(* Departures first: a transmission finishing at [now] has left the queue
+   before a packet arriving at [now] is counted, whichever of the two
+   events the simulator happens to dispatch first.  The depth is read off
+   the finish-time ring, never off event order. *)
+let depth_at t now =
+  Fring.drop_le t.finishes now;
+  Fring.length t.finishes
+
 let send t pkt =
   let now = Desim.Sim.now t.sim in
+  let depth = depth_at t now in
   let over_limit =
-    match t.queue_limit with Some l -> t.queue_depth >= l | None -> false
+    match t.queue_limit with Some l -> depth >= l | None -> false
   in
   if over_limit then begin
     t.dropped <- t.dropped + 1;
@@ -61,11 +70,11 @@ let send t pkt =
     let finish = start +. tx in
     t.busy_until <- finish;
     t.busy_time <- t.busy_time +. tx;
-    t.queue_depth <- t.queue_depth + 1;
+    Fring.push t.finishes finish;
     Obs.Metrics.incr m_enqueued;
-    if t.queue_depth > t.queue_hwm then begin
-      t.queue_hwm <- t.queue_depth;
-      Obs.Metrics.observe_hwm g_queue_hwm (float_of_int t.queue_depth)
+    if depth + 1 > t.queue_hwm then begin
+      t.queue_hwm <- depth + 1;
+      Obs.Metrics.observe_hwm g_queue_hwm (float_of_int (depth + 1))
     end;
     (* The packet leaves the transmitter (and the queue) at [finish]; it
        reaches the far end one propagation delay later.  Fuse the two
@@ -74,15 +83,12 @@ let send t pkt =
     if t.propagation = 0.0 then
       ignore
         (Desim.Sim.at t.sim ~time:finish (fun () ->
-             t.queue_depth <- t.queue_depth - 1;
              t.sent <- t.sent + 1;
              t.dest pkt)
           : Desim.Sim.handle)
     else begin
       ignore
-        (Desim.Sim.at t.sim ~time:finish (fun () ->
-             t.queue_depth <- t.queue_depth - 1;
-             t.sent <- t.sent + 1)
+        (Desim.Sim.at t.sim ~time:finish (fun () -> t.sent <- t.sent + 1)
           : Desim.Sim.handle);
       let arrival = finish +. t.propagation in
       ignore
@@ -94,7 +100,7 @@ let send t pkt =
 let port t = send t
 let sent t = t.sent
 let dropped t = t.dropped
-let queue_depth t = t.queue_depth
+let queue_depth t = depth_at t (Desim.Sim.now t.sim)
 let busy_until t = t.busy_until
 
 let utilization t =

@@ -3,7 +3,13 @@
     A link is a single transmitter: a packet occupies the wire for
     [size * 8 / bandwidth] seconds; packets arriving while the wire is busy
     wait in FIFO order.  This serialization queue behind cross traffic is
-    precisely the source of the paper's δ_net disturbance. *)
+    precisely the source of the paper's δ_net disturbance.
+
+    Tie rule (shared with {!Linkstage}): departures first.  A
+    transmission that finishes at instant [t] has left the queue before
+    any packet arriving at [t] is counted, so the depth a send checks
+    against [queue_limit] and records as the high-water mark never
+    depends on the order the simulator dispatches same-instant events. *)
 
 type t
 
@@ -33,7 +39,9 @@ val sent : t -> int
 
 val dropped : t -> int
 val queue_depth : t -> int
-(** Packets currently waiting or in transmission. *)
+(** Packets currently waiting or in transmission, departures first: a
+    packet whose transmission finishes at the current instant no longer
+    counts. *)
 
 val busy_until : t -> float
 (** Time at which the transmitter frees up (<= now when idle). *)

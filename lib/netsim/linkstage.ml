@@ -11,13 +11,11 @@
    -inf; nothing else about a packet is observable downstream of the
    gateway.
 
-   Exactness over speed: any exact time tie between two pending streams
-   could be ordered either way by the event loop's (time, seq) tie-break,
-   so the stage raises {!Tie} and the orchestrator falls back to the
-   event loop for the whole run.  With continuous arrival and service
-   processes such ties essentially never occur. *)
-
-exception Tie
+   Same-instant events follow the tie rule [Link] also keeps: departures
+   first.  A transmit finish (and a far-end delivery) at [t] is processed
+   before an upstream send at [t], so the send sees the depth after the
+   departure; an upstream send at [t] goes before this hop's cross tick
+   at [t], so the padded packet takes the wire first. *)
 
 type t = {
   (* reusable storage, kept across runs via the scenario arena *)
@@ -204,44 +202,35 @@ let advance t ~until =
     let td = if Fring.is_empty t.del_t then infinity else Fring.peek t.del_t in
     let m = Float.min (Float.min tin tc) (Float.min tf td) in
     if m > until then continue := false
+    else if tf = m then begin
+      (* transmit-finish event *)
+      ignore (Fring.pop t.fin_t : float);
+      let tag = Fring.pop t.fin_tag in
+      t.depth <- t.depth - 1;
+      t.sent <- t.sent + 1;
+      t.events <- t.events + 1;
+      if t.propagation = 0.0 then deliver t ~time:m ~tag
+    end
+    else if td = m then begin
+      (* far-end delivery event (propagation > 0) *)
+      ignore (Fring.pop t.del_t : float);
+      let tag = Fring.pop t.del_tag in
+      t.events <- t.events + 1;
+      deliver t ~time:m ~tag
+    end
+    else if tin = m then begin
+      (* padded send handed down within the upstream stage's event *)
+      let tag = Fvec.unsafe_get t.in_tag t.in_idx in
+      t.in_idx <- t.in_idx + 1;
+      send t ~now:m ~tag ~tx:t.tx_padded
+    end
     else begin
-      (* Any exact tie between two distinct streams is ordered by queue
-         seq in the event loop; bail out rather than guess. *)
-      if
-        (tin = m && (tc = m || tf = m || td = m))
-        || (tc = m && (tf = m || td = m))
-        || (tf = m && td = m)
-      then raise Tie;
-      if tf = m then begin
-        (* transmit-finish event *)
-        ignore (Fring.pop t.fin_t : float);
-        let tag = Fring.pop t.fin_tag in
-        t.depth <- t.depth - 1;
-        t.sent <- t.sent + 1;
-        t.events <- t.events + 1;
-        if t.propagation = 0.0 then deliver t ~time:m ~tag
-      end
-      else if td = m then begin
-        (* far-end delivery event (propagation > 0) *)
-        ignore (Fring.pop t.del_t : float);
-        let tag = Fring.pop t.del_tag in
-        t.events <- t.events + 1;
-        deliver t ~time:m ~tag
-      end
-      else if tc = m then begin
-        (* cross source tick: one event, even when the send is dropped *)
-        t.events <- t.events + 1;
-        send t ~now:m ~tag:neg_infinity ~tx:t.tx_cross;
-        match t.rng_cross with
-        | Some rng -> cross_next t rng
-        | None -> assert false
-      end
-      else begin
-        (* padded send handed down within the upstream stage's event *)
-        let tag = Fvec.unsafe_get t.in_tag t.in_idx in
-        t.in_idx <- t.in_idx + 1;
-        send t ~now:m ~tag ~tx:t.tx_padded
-      end
+      (* cross source tick: one event, even when the send is dropped *)
+      t.events <- t.events + 1;
+      send t ~now:m ~tag:neg_infinity ~tx:t.tx_cross;
+      match t.rng_cross with
+      | Some rng -> cross_next t rng
+      | None -> assert false
     end
   done
 

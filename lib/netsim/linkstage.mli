@@ -9,12 +9,11 @@
     (time, tag) float pairs: payload tag = creation time, dummy = NaN,
     cross = -inf; cross packets are diverted at the link exit exactly as
     the router does.  Scratch is reusable across runs and the
-    steady-state loop performs no allocation. *)
+    steady-state loop performs no allocation.
 
-exception Tie
-(** An exact time tie between two distinct pending streams — ordered by
-    queue sequence in the event loop, not reproducible here.  The
-    orchestrator catches this and falls back to the event loop. *)
+    Same-instant events follow {!Link}'s departures-first rule: transmit
+    finishes and far-end deliveries at [t] go before an upstream send at
+    [t], and an upstream send at [t] goes before a cross tick at [t]. *)
 
 type t
 
@@ -42,10 +41,10 @@ val configure :
 
 val advance : t -> until:float -> unit
 (** Process every input send, cross arrival, transmit finish and far-end
-    delivery with timestamp <= [until], in time order.  Padded
-    deliveries of the chunk are appended to {!out_times} / {!out_tags}
-    (cleared on entry).  Raises {!Tie} on any exact cross-stream time
-    tie. *)
+    delivery with timestamp <= [until], in time order, same-instant
+    events in the departures-first order above.  Padded deliveries of
+    the chunk are appended to {!out_times} / {!out_tags} (cleared on
+    entry). *)
 
 val out_times : t -> Fvec.t
 val out_tags : t -> Fvec.t

@@ -34,10 +34,38 @@ let start_cross sim ~rng ~spec ~dest =
         ~mean_off ?pareto_shape ~size_bytes:spec.size_bytes ~kind:Packet.Cross
         ~dest ()
 
-let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
-  let n = Array.length hops in
-  if tap_position < 0 || tap_position > n then
+let validate ~hops ~tap_position =
+  if tap_position < 0 || tap_position > Array.length hops then
     invalid_arg "Topology.chain: tap_position out of range";
+  Array.iter
+    (fun h ->
+      if h.bandwidth_bps <= 0.0 then invalid_arg "Topology.chain: bandwidth <= 0";
+      if h.propagation < 0.0 then invalid_arg "Topology.chain: propagation < 0";
+      (match h.queue_limit with
+      | Some l when l < 1 -> invalid_arg "Topology.chain: queue_limit < 1"
+      | _ -> ());
+      match h.cross with
+      | Some c when c.rate_pps <= 0.0 ->
+          invalid_arg "Topology.chain: cross rate <= 0"
+      | _ -> ())
+    hops
+
+(* One child per hop with cross traffic, split back to front: the split
+   order is part of every seed's stream layout. *)
+let cross_streams ~rng hops =
+  let n = Array.length hops in
+  let streams = Array.make n None in
+  for i = n - 1 downto 0 do
+    match hops.(i).cross with
+    | None -> ()
+    | Some _ -> streams.(i) <- Some (Prng.Rng.split rng)
+  done;
+  streams
+
+let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
+  validate ~hops ~tap_position;
+  let n = Array.length hops in
+  let streams = cross_streams ~rng hops in
   let make_tap dest = Tap.create sim ?buffers:tap_buffers ~dest () in
   let received = ref 0 in
   let sink pkt =
@@ -64,13 +92,12 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
         ~dest:!downstream ()
     in
     routers.(i) <- Some router;
-    (match spec.cross with
-    | None -> ()
-    | Some cross ->
-        let child = Prng.Rng.split rng in
+    (match (spec.cross, streams.(i)) with
+    | Some cross, Some rng ->
         cross_sources :=
-          start_cross sim ~rng:child ~spec:cross ~dest:(Router.port router)
-          :: !cross_sources);
+          start_cross sim ~rng ~spec:cross ~dest:(Router.port router)
+          :: !cross_sources
+    | _ -> ());
     downstream := Router.port router
   done;
   if tap_position = 0 then begin

@@ -31,6 +31,19 @@ type t = {
   sink_count : unit -> int; (** padded packets that reached the far end *)
 }
 
+val validate : hops:hop_spec array -> tap_position:int -> unit
+(** The one check of a hop layout, shared by {!chain} and the fused
+    pipeline: the tap position is in [0, Array.length hops], and every
+    hop has [bandwidth_bps > 0], [propagation >= 0], [queue_limit >= 1]
+    when set, and a positive cross rate when it has cross traffic.
+    Raises [Invalid_argument] naming the failed check. *)
+
+val cross_streams : rng:Prng.Rng.t -> hop_spec array -> Prng.Rng.t option array
+(** The per-hop cross-traffic streams {!chain} hands its sources: one
+    child split from [rng] for each hop with cross traffic, split back to
+    front; [None] for a hop without.  The fused pipeline calls it with the
+    same parent to draw the same cross arrivals. *)
+
 val chain :
   Desim.Sim.t ->
   rng:Prng.Rng.t ->
@@ -43,8 +56,8 @@ val chain :
 (** [chain sim ~rng ~hops ~tap_position ()] builds the path.  The tap sits
     in front of hop [tap_position] (so 0 observes the traffic exactly as it
     leaves the sender gateway); [tap_position = Array.length hops] places it
-    after the final hop.  Raises [Invalid_argument] on an out-of-range
-    position.  Cross sources are driven by children split from [rng].
+    after the final hop.  Raises [Invalid_argument] when {!validate}
+    rejects the layout.  Cross sources are driven by {!cross_streams}.
     Packets surviving the last hop go to [dest] (default: a counting-only
     sink); [sink_count] counts padded packets reaching the far end either
     way.  [tap_buffers] is handed to {!Tap.create} for recording-storage

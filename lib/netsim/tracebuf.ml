@@ -7,8 +7,7 @@
    records, for every would-be trace event, the simulated time of the
    loop event during which the record would have been inserted ([key])
    alongside the displayed payload; the orchestrator merges the stage
-   buffers by key at flush time and falls back to the event loop on any
-   cross-stage key collision it cannot order. *)
+   buffers by key at flush time, equal keys in pipeline order. *)
 
 let timer_fire = 0.0
 let sent_payload = 1.0

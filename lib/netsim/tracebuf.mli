@@ -1,19 +1,20 @@
 (** Deferred ta-trace/1 events for the fused scenario kernels.
 
-    Kernel stages must not write to the live trace buffer while they run:
-    a mid-run ordering tie forces a fallback to the event loop, and any
-    events already emitted would then be duplicated by the rerun.  Stages
-    instead record would-be events here — float-encoded, allocation-free —
-    and the orchestrator replays the merged buffers through
-    {!Obs.Trace.event} exactly once, transactionally, at flush time.
+    Pipeline stages run one after another over a chunk, so a stage
+    cannot write to the live trace buffer in the order the event loop
+    would: the gateway has finished the chunk before the first hop
+    starts it.  Stages instead record would-be events here — float-encoded,
+    allocation-free — and the orchestrator merges the buffers and replays
+    them through {!Obs.Trace.event} once, at flush time.
 
     Every entry carries a [key]: the simulated time of the event-loop
     event during which the record would have been inserted (insertion
     order, not display order — a gateway fire inserts its [packet.sent]
     record, stamped with the later emit time, at fire time).  Within one
     buffer, entries are pushed in processing order and keys are
-    monotone; merging buffers by key reproduces the event loop's
-    insertion order whenever no two buffers share an exact key. *)
+    monotone.  The orchestrator merges buffers by key and breaks equal
+    keys by pipeline position: gateway, the hops before the tap, the
+    tap, the hops after it. *)
 
 type t
 

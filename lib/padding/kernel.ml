@@ -13,15 +13,12 @@
    payload-extra normal is drawn) and are therefore made scalar, in fire
    order, exactly as the event loop makes them.
 
-   An exact time tie between a pending payload arrival and a pending
-   timer fire is ordered by queue seq in the event loop, unreproducible
-   here — {!Tie} makes the orchestrator fall back.  Emission events need
-   no tie handling: an emission at the same instant as a fire was pushed
-   before that fire's queue record (emit before fire), and relative
-   order against an arrival is unobservable (disjoint state, no trace
-   record on either side). *)
-
-exception Tie
+   Same-instant events: a pending emission goes first (the event loop
+   pushed it before the coinciding fire's queue record, and its order
+   against an arrival is unobservable: disjoint state, no trace record
+   on either side); then a payload arrival goes before a timer fire, so
+   a packet arriving at the fire instant is already queued when the fire
+   decides between payload and dummy. *)
 
 type t = {
   regs : floatarray; (* 0 next_arrival, 1 next_fire, 2 last_emit *)
@@ -186,7 +183,6 @@ let advance t ~until =
     in
     let m = Float.min (Float.min ta tf) te in
     if m > until then continue := false
-    else if ta = m && ta = tf then raise Tie
     else if te = m then begin
       (* emission event: the packet leaves for the first hop *)
       ignore (Netsim.Fring.pop t.pend_t : float);
@@ -195,7 +191,7 @@ let advance t ~until =
       Netsim.Fvec.push t.out_t te;
       Netsim.Fvec.push t.out_tag tag
     end
-    else if ta < tf then begin
+    else if ta = m then begin
       (* payload arrival event: source emit + Gateway.input *)
       t.events <- t.events + 1;
       t.generated <- t.generated + 1;

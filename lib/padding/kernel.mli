@@ -11,13 +11,11 @@
 
     Stream encoding shared with [Netsim.Linkstage]: an emission is a
     (time, tag) float pair where a payload's tag is its creation time
-    and a dummy's tag is NaN. *)
+    and a dummy's tag is NaN.
 
-exception Tie
-(** An exact time tie between a pending payload arrival and a pending
-    timer fire — ordered by queue sequence in the event loop, not
-    reproducible here.  The orchestrator catches this and falls back to
-    the event-loop path for the whole run. *)
+    Tie rule: at one instant, a pending emission goes first, then a
+    payload arrival, then a timer fire — a payload arriving exactly at a
+    fire is queued before the fire chooses between payload and dummy. *)
 
 type t
 
@@ -44,9 +42,9 @@ val configure :
 val advance : t -> until:float -> unit
 (** Process every arrival, fire and emission event with timestamp <=
     [until], in time order, replaying [Gateway.on_fire]'s arithmetic
-    exactly.  Emissions of the chunk are appended to {!out_times} /
-    {!out_tags} (cleared on entry).  Raises {!Tie} on an
-    arrival-vs-fire time tie. *)
+    exactly, same-instant events in the tie order above.  Emissions of
+    the chunk are appended to {!out_times} / {!out_tags} (cleared on
+    entry). *)
 
 val out_times : t -> Netsim.Fvec.t
 val out_tags : t -> Netsim.Fvec.t

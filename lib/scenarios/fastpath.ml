@@ -10,33 +10,15 @@
    arithmetic the event loop runs, so both paths starve, stop and
    budget-trip at identical simulated times.
 
-   Everything observable is buffered stage-locally during the run and
-   flushed transactionally: registry counters as batched adds, the
-   ta-trace/1 stream as a key-ordered merge of per-stage deferred
-   buffers.  If any stage (or the trace merge) hits an exact time tie it
-   cannot order, nothing has been published yet — [try_run] returns
-   [None] and the caller reruns the config on the event loop, whose
-   (time, seq) queue order resolves the tie authoritatively. *)
-
-exception Tie
-
-let enabled_flag = Atomic.make true
-
-(* Read once per process: CI flips the whole process to the event loop
-   with TA_FORCE_EVENT_LOOP=1 to regenerate reference outputs. *)
-let env_forced =
-  match Sys.getenv_opt "TA_FORCE_EVENT_LOOP" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let enabled () = Atomic.get enabled_flag && not env_forced
-let set_enabled b = Atomic.set enabled_flag b
+   Same-instant events follow a fixed tie rule: departures first on every
+   link (as [Netsim.Link] does on the event loop), upstream input before a
+   cross tick, a payload arrival before a timer fire, and equal trace keys
+   in pipeline order.  Everything observable is buffered stage-locally
+   during the run and flushed at the end: registry counters as batched
+   adds, the ta-trace/1 stream as a key-ordered merge of per-stage
+   deferred buffers. *)
 
 let m_runs = Obs.Metrics.counter "desim.kernel.runs"
-
-let m_fb_disabled =
-  Obs.Metrics.counter_labeled "desim.kernel.fallbacks"
-    ~label:("reason", "disabled")
 
 let m_fb_cbr =
   Obs.Metrics.counter_labeled "desim.kernel.fallbacks"
@@ -46,16 +28,11 @@ let m_fb_onoff =
   Obs.Metrics.counter_labeled "desim.kernel.fallbacks"
     ~label:("reason", "onoff_cross")
 
-let m_fb_tie =
-  Obs.Metrics.counter_labeled "desim.kernel.fallbacks" ~label:("reason", "tie")
-
 let note_fallback ~reason =
   Obs.Metrics.incr
     (match reason with
-    | "disabled" -> m_fb_disabled
     | "cbr_payload" -> m_fb_cbr
     | "onoff_cross" -> m_fb_onoff
-    | "tie" -> m_fb_tie
     | r -> invalid_arg ("Fastpath.note_fallback: unknown reason " ^ r))
 
 let eligible_hops hops =
@@ -88,10 +65,10 @@ type outcome = {
 
 (* K-way merge of the per-stage deferred trace buffers by insertion-time
    key, replayed through the live trace sink.  Keys are monotone within
-   a buffer (stable insertion order); an exact key shared by two
-   different buffers is a cross-stage insertion-order tie the event
-   queue would break by seq — bail out before emitting anything. *)
-let merge_pass bufs ~emit =
+   a buffer; [bufs] is in pipeline order, and an equal key goes to the
+   lowest buffer index, so same-instant records from different stages
+   come out in pipeline order. *)
+let merge_traces bufs =
   let k = Array.length bufs in
   let idx = Array.make k 0 in
   let remaining = ref 0 in
@@ -106,62 +83,26 @@ let merge_pass bufs ~emit =
           best := j;
           best_key := key
         end
-        else if key = !best_key then raise Tie
       end
     done;
-    if emit then Netsim.Tracebuf.emit bufs.(!best) idx.(!best);
+    Netsim.Tracebuf.emit bufs.(!best) idx.(!best);
     idx.(!best) <- idx.(!best) + 1;
     remaining := !remaining - 1
   done
 
-let merge_traces bufs =
-  (* Two passes: the dry run proves the whole merge is tie-free BEFORE
-     the first event reaches the sink — a tie detected mid-emission
-     would leave a partial stream behind that the event-loop rerun then
-     duplicates. *)
-  merge_pass bufs ~emit:false;
-  merge_pass bufs ~emit:true
-
-let arm_event_budget sim =
-  match Exec.Supervise.current_event_budget () with
-  | Some max_events -> Desim.Sim.set_event_budget sim ~max_events
-  | None -> ()
-
-let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
-    ~packet_size ~hops ~tap_position ~target ~expected_rate =
+let run ~arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps ~packet_size
+    ~hops ~tap_position ~target ~expected_rate =
+  Netsim.Topology.validate ~hops ~tap_position;
   let n = Array.length hops in
-  if tap_position < 0 || tap_position > n then
-    invalid_arg "Topology.chain: tap_position out of range";
-  Array.iter
-    (fun (h : Netsim.Topology.hop_spec) ->
-      if h.Netsim.Topology.bandwidth_bps <= 0.0 then
-        invalid_arg "Link.create: bandwidth <= 0";
-      if h.Netsim.Topology.propagation < 0.0 then
-        invalid_arg "Link.create: propagation < 0";
-      (match h.Netsim.Topology.queue_limit with
-      | Some l when l < 1 -> invalid_arg "Link.create: queue_limit < 1"
-      | _ -> ());
-      match h.Netsim.Topology.cross with
-      | Some c when c.Netsim.Topology.rate_pps <= 0.0 ->
-          invalid_arg "Traffic_gen.poisson: rate <= 0"
-      | _ -> ())
-    hops;
-  let arena = Arena.get ~fresh:fresh_arena in
   let sim = arena.Arena.sim in
-  arm_event_budget sim;
   (* Same stream derivation as the event-loop path: three splits off the
-     root in payload/gateway/cross order, then one child per hop with
-     cross traffic, split in the chain builder's back-to-front order. *)
+     root in payload/gateway/cross order, then the chain's per-hop cross
+     streams. *)
   let root = Prng.Rng.create ~seed in
   let rng_payload = Prng.Rng.split root in
   let rng_gateway = Prng.Rng.split root in
   let rng_cross = Prng.Rng.split root in
-  let children = Array.make (Stdlib.max n 1) None in
-  for i = n - 1 downto 0 do
-    match hops.(i).Netsim.Topology.cross with
-    | None -> ()
-    | Some _ -> children.(i) <- Some (Prng.Rng.split rng_cross)
-  done;
+  let cross_rngs = Netsim.Topology.cross_streams ~rng:rng_cross hops in
   let kgw = arena.Arena.kernel_gw in
   Padding.Kernel.configure kgw ~rng_payload ~rng_gateway ~timer ~jitter
     ~packet_size ~payload_rate:payload_rate_pps;
@@ -171,7 +112,7 @@ let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
   for i = 0 to n - 1 do
     let h = hops.(i) in
     let cross =
-      match (h.Netsim.Topology.cross, children.(i)) with
+      match (h.Netsim.Topology.cross, cross_rngs.(i)) with
       | Some c, Some rng ->
           Some (rng, c.Netsim.Topology.rate_pps, c.Netsim.Topology.size_bytes)
       | _ -> None
@@ -241,15 +182,14 @@ let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
     !acc
   in
   let flush ~with_utilization ~publish ~now =
-    if Obs.Trace.enabled () then begin
-      let bufs =
-        Array.init (n + 2) (fun i ->
-            if i = 0 then Padding.Kernel.trace kgw
-            else if i = 1 then arena.Arena.kernel_tap_trace
-            else Netsim.Linkstage.trace stages.(i - 2))
-      in
-      merge_traces bufs
-    end;
+    if Obs.Trace.enabled () then
+      (* Pipeline order: gateway, hops before the tap, tap, hops after. *)
+      merge_traces
+        (Array.init (n + 2) (fun i ->
+             if i = 0 then Padding.Kernel.trace kgw
+             else if i = tap_position + 1 then arena.Arena.kernel_tap_trace
+             else if i <= tap_position then Netsim.Linkstage.trace stages.(i - 1)
+             else Netsim.Linkstage.trace stages.(i - 2)));
     Obs.Metrics.add m_gw_fires (Padding.Kernel.fires kgw);
     Obs.Metrics.add m_gw_payload (Padding.Kernel.payload_sent kgw);
     Obs.Metrics.add m_gw_dummy (Padding.Kernel.dummy_sent kgw);
@@ -307,29 +247,23 @@ let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
       flush ~with_utilization:false ~publish:false ~now:(Desim.Sim.now sim);
       raise e
   in
-  try
-    Starvation.drive ~scenario ~slack:1.1 ~min_chunk:0.1
-      ~now:(fun () -> Desim.Sim.now sim)
-      ~count:(fun () -> Netsim.Fvec.length arena.Arena.tap_times)
-      ~advance
-      ~on_starve:(fun () ->
-        (* The event loop's starve path never reaches stop_cross, so no
-           utilization observations — flush everything else. *)
-        flush ~with_utilization:false ~publish:true ~now:(Desim.Sim.now sim))
-      ~target ~expected_rate ();
-    let now = Desim.Sim.now sim in
-    flush ~with_utilization:true ~publish:true ~now;
-    Obs.Metrics.incr m_runs;
-    Some
-      {
-        timestamps = Netsim.Fvec.to_array arena.Arena.tap_times;
-        overhead = Padding.Kernel.overhead kgw;
-        payload_offered = Padding.Kernel.generated kgw;
-        payload_delivered = !payload_received;
-        mean_payload_latency = Stats.Descriptive.Acc.mean latency_acc;
-        sim_time = now;
-      }
-  with Padding.Kernel.Tie | Netsim.Linkstage.Tie | Tie ->
-    (* Nothing was published before the tie was detected; the caller
-       reruns the config on the event loop. *)
-    None
+  Starvation.drive ~scenario ~slack:1.1 ~min_chunk:0.1
+    ~now:(fun () -> Desim.Sim.now sim)
+    ~count:(fun () -> Netsim.Fvec.length arena.Arena.tap_times)
+    ~advance
+    ~on_starve:(fun () ->
+      (* The event loop's starve path never reaches stop_cross, so no
+         utilization observations — flush everything else. *)
+      flush ~with_utilization:false ~publish:true ~now:(Desim.Sim.now sim))
+    ~target ~expected_rate ();
+  let now = Desim.Sim.now sim in
+  flush ~with_utilization:true ~publish:true ~now;
+  Obs.Metrics.incr m_runs;
+  {
+    timestamps = Netsim.Fvec.to_array arena.Arena.tap_times;
+    overhead = Padding.Kernel.overhead kgw;
+    payload_offered = Padding.Kernel.generated kgw;
+    payload_delivered = !payload_received;
+    mean_payload_latency = Stats.Descriptive.Acc.mean latency_acc;
+    sim_time = now;
+  }

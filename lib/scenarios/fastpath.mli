@@ -3,31 +3,31 @@
     Batch-executes the dominant no-fault configuration — Poisson payload,
     chain topology, cross traffic absent or Poisson — through
     {!Padding.Kernel} and {!Netsim.Linkstage} instead of the discrete
-    event loop.  The contract is exact equivalence: same RNG draws in the
-    same order, bit-identical tap observations, trace stream, QoS fields
-    and metric totals as the event loop at any [--jobs].  Runs the kernel
-    cannot order exactly (cross-stream time ties) publish nothing and
-    fall back to the event loop.
+    event loop.  The contract is exact equivalence with
+    {!System.run_event_loop}: same RNG draws in the same order,
+    bit-identical tap observations, QoS fields and metric totals at any
+    [--jobs].
 
-    Set [TA_FORCE_EVENT_LOOP=1] (or call {!set_enabled}[ false]) to
-    force every run onto the event loop — used by the differential CI
-    job and the [--no-kernel] bench flag. *)
-
-val enabled : unit -> bool
-(** Whether eligible runs may take the kernel path.  [false] when
-    {!set_enabled}[ false] was called or the [TA_FORCE_EVENT_LOOP]
-    environment variable was set ([1]/[true]/[yes]) at startup. *)
-
-val set_enabled : bool -> unit
-(** Process-wide toggle ANDed with the environment override. *)
+    Same-instant events follow a fixed tie rule.  On every link,
+    departures first, which the event loop's {!Netsim.Link} keeps too; a
+    hop's upstream input goes before its cross tick and a payload
+    arrival before a timer fire ({!Padding.Kernel}), pairs that coincide
+    with probability zero under the Poisson inputs the pipeline takes.
+    Trace records with equal insertion keys come out in pipeline order —
+    gateway, the hops before the tap, the tap, the hops after it
+    ({!Netsim.Tracebuf}).  The event loop emits same-instant records of
+    different stages in scheduling order instead, so its trace can list
+    those equal-timestamp lines in another order.  Such records need
+    event times on a shared lattice, e.g. jitterless CIT whose timer
+    period equals a hop's transmit time. *)
 
 val note_fallback : reason:string -> unit
-(** Bump [desim.kernel.fallbacks{reason=...}].  Reasons:
-    ["disabled"], ["cbr_payload"], ["onoff_cross"], ["tie"]. *)
+(** Bump [desim.kernel.fallbacks{reason=...}] for a run the pipeline
+    does not model.  Reasons: ["cbr_payload"], ["onoff_cross"]. *)
 
 val eligible_hops : Netsim.Topology.hop_spec array -> bool
-(** Every hop's cross traffic is absent or [`Poisson] (the kernel has no
-    on/off burst model). *)
+(** Every hop's cross traffic is absent or [`Poisson] (the pipeline has
+    no on/off burst model). *)
 
 type outcome = {
   timestamps : float array;  (** tap observation times, in order *)
@@ -38,8 +38,8 @@ type outcome = {
   sim_time : float;  (** simulated clock at run end *)
 }
 
-val try_run :
-  fresh_arena:bool ->
+val run :
+  arena:Arena.t ->
   scenario:string ->
   seed:int ->
   timer:Padding.Timer.law ->
@@ -50,14 +50,12 @@ val try_run :
   tap_position:int ->
   target:int ->
   expected_rate:float ->
-  outcome option
-(** Run the fused pipeline until the tap has recorded [target]
+  outcome
+(** Run the pipeline on [arena] until the tap has recorded [target]
     observations, chunked by the same {!Starvation.drive} arithmetic the
-    event loop uses (slack 1.1, min chunk 0.1).  Returns [None] if a
-    cross-stream time tie makes exact event ordering unreproducible —
-    nothing has been published in that case and the caller must rerun
-    the configuration on the event loop (and count the ["tie"]
-    fallback).  Raises the same exceptions as the event-loop path:
-    setup [Invalid_argument]s, {!Exec.Supervise} event-budget trips
-    (after flushing incrementally-published state) and
+    event loop uses (slack 1.1, min chunk 0.1), and count the run in
+    [desim.kernel.runs].  The caller arms any event budget on
+    [arena.sim].  Raises the same exceptions as the event-loop path:
+    {!Netsim.Topology.validate}'s [Invalid_argument]s, event-budget
+    trips (after flushing incrementally-published state) and
     [Starvation.Tap_starved]. *)

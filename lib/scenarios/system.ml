@@ -51,22 +51,27 @@ let start_payload_source sim ~model ~rng ~rate_pps ~size_bytes ~dest =
       Netsim.Traffic_gen.cbr sim ~rate_pps ~size_bytes
         ~kind:Netsim.Packet.Payload ~dest ()
 
-(* Advance the simulation until the tap holds [target] timestamps; chunked
-   so we stop close to (not far past) the goal.  Raises
-   [Starvation.Tap_starved] when padded traffic stops reaching the tap. *)
-let run_until_tap_count ~scenario sim ~tap ~target ~expected_rate =
-  Starvation.run_until_tap_count ~scenario ~slack:1.1 ~min_chunk:0.1 sim ~tap
-    ~target ~expected_rate
-
 let trim_warmup cfg timestamps =
   (* Dropping the first (warmup+1) timestamps drops the first warmup PIATs. *)
   let drop = cfg.warmup_piats + 1 in
   let n = Array.length timestamps in
   if n <= drop then [||] else Array.sub timestamps drop (n - drop)
 
-let piats_of_timestamps ts =
-  let n = Array.length ts in
-  if n < 2 then [||] else Array.init (n - 1) (fun i -> ts.(i + 1) -. ts.(i))
+(* The post-warm-up tap times and exactly [count] PIATs from them: the
+   chunked drive may stop a few observations past the target. *)
+let observed cfg ~count raw =
+  let timestamps = trim_warmup cfg raw in
+  let n = Array.length timestamps in
+  let piats =
+    Array.init
+      (Stdlib.max 0 (Stdlib.min count (n - 1)))
+      (fun i -> timestamps.(i + 1) -. timestamps.(i))
+  in
+  (piats, timestamps)
+
+(* [count] gaps need count + 1 timestamps after the trim drops warmup + 1
+   of them; chunked running may stop exactly on target. *)
+let tap_target cfg ~count = count + cfg.warmup_piats + 2
 
 (* Supervision hook: when a sweep runner installed a per-task event
    budget (Exec.Supervise.with_event_budget), arm the simulator's
@@ -77,18 +82,34 @@ let arm_event_budget sim =
   | Some max_events -> Desim.Sim.set_event_budget sim ~max_events
   | None -> ()
 
-let truncate_piats all_piats ~piats =
-  if Array.length all_piats > piats then Array.sub all_piats 0 piats
-  else all_piats
-
-(* The classic event-driven path: wire up source -> gateway -> chain ->
-   receiver as simulator records and dispatch events one at a time.
-   Always correct; the fused-kernel path below must match it bit for
-   bit.  Runs inside the caller's [Obs.Trace.with_run]. *)
-let run_event_loop ~fresh_arena cfg ~piats ~target ~expected_rate =
+(* The prologue every runner shares: validation, one trace run named
+   after the [scenario], and this domain's arena with the supervising
+   sweep's event budget armed. *)
+let with_arena ~scenario ~fresh_arena cfg ~count ~count_error f =
+  validate cfg;
+  if count < 1 then invalid_arg count_error;
+  Obs.Trace.with_run
+    (Printf.sprintf "%s seed=%d pps=%g" scenario cfg.seed cfg.payload_rate_pps)
+  @@ fun () ->
   let arena = Arena.get ~fresh:fresh_arena in
+  arm_event_budget arena.Arena.sim;
+  f arena
+
+(* What sits between the payload source and the chain entry. *)
+type front = {
+  input : Netsim.Link.port;
+  stop : unit -> unit;
+  overhead : unit -> float;
+}
+
+(* The event-driven assembly behind every runner: source -> [front] ->
+   chain -> receiver as simulator records, dispatched one event at a
+   time until the tap holds [count] post-warm-up gaps, or raising
+   [Starvation.Tap_starved] when padded traffic stops reaching the tap.
+   The creation order (receiver, chain and its cross sources, front,
+   source) fixes the event queue's seq order, so it never changes. *)
+let assemble arena cfg ~scenario ~count ~expected_rate make_front =
   let sim = arena.Arena.sim in
-  arm_event_budget sim;
   let root = Prng.Rng.create ~seed:cfg.seed in
   let rng_payload = Prng.Rng.split root in
   let rng_gateway = Prng.Rng.split root in
@@ -101,86 +122,87 @@ let run_event_loop ~fresh_arena cfg ~piats ~target ~expected_rate =
       ~dest:(Padding.Receiver.port receiver)
       ()
   in
-  let gateway =
-    Padding.Gateway.create sim ~rng:rng_gateway ~timer:cfg.timer
-      ~jitter:cfg.jitter ~packet_size:cfg.packet_size ~buffers:arena.Arena.gw
-      ~dest:topo.Netsim.Topology.entry ()
-  in
+  let front = make_front sim ~rng:rng_gateway ~dest:topo.Netsim.Topology.entry in
   let source =
     start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
       ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:(Padding.Gateway.input gateway)
+      ~dest:front.input
   in
-  run_until_tap_count ~scenario:"system.run" sim ~tap:topo.Netsim.Topology.tap
-    ~target ~expected_rate;
+  Starvation.run_until_tap_count ~scenario ~slack:1.1 ~min_chunk:0.1 sim
+    ~tap:topo.Netsim.Topology.tap ~target:(tap_target cfg ~count)
+    ~expected_rate;
   Netsim.Traffic_gen.stop source;
-  Padding.Gateway.stop gateway;
+  front.stop ();
   Netsim.Topology.stop_cross topo;
   Desim.Sim.publish_metrics sim;
-  let timestamps = trim_warmup cfg (Netsim.Tap.timestamps topo.Netsim.Topology.tap) in
+  let piats, timestamps =
+    observed cfg ~count (Netsim.Tap.timestamps topo.Netsim.Topology.tap)
+  in
   {
-    piats = truncate_piats (piats_of_timestamps timestamps) ~piats;
+    piats;
     timestamps;
-    overhead = Padding.Gateway.overhead gateway;
+    overhead = front.overhead ();
     payload_offered = Netsim.Traffic_gen.generated source;
     payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = Padding.Gateway.payload_dropped gateway;
+    (* No runner sets a gateway queue limit, so no gateway drops. *)
+    payload_dropped_gw = 0;
     mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
     sim_time = Desim.Sim.now sim;
   }
 
-(* Why a run is not kernel-eligible, or [None] when it is.  The fused
-   kernels model Poisson payload and Poisson/absent cross traffic only;
-   anything else (and a process-wide disable) takes the event loop. *)
-let kernel_reason cfg =
-  if not (Fastpath.enabled ()) then Some "disabled"
-  else if cfg.payload_model <> Poisson_payload then Some "cbr_payload"
+let padded_event_loop arena cfg ~piats =
+  assemble arena cfg ~scenario:"system.run" ~count:piats
+    ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
+    (fun sim ~rng ~dest ->
+      let gw =
+        Padding.Gateway.create sim ~rng ~timer:cfg.timer ~jitter:cfg.jitter
+          ~packet_size:cfg.packet_size ~buffers:arena.Arena.gw ~dest ()
+      in
+      {
+        input = Padding.Gateway.input gw;
+        stop = (fun () -> Padding.Gateway.stop gw);
+        overhead = (fun () -> Padding.Gateway.overhead gw);
+      })
+
+let run_event_loop ?(fresh_arena = false) cfg ~piats =
+  with_arena ~scenario:"system.run" ~fresh_arena cfg ~count:piats
+    ~count_error:"System.run_event_loop: piats < 1"
+  @@ fun arena -> padded_event_loop arena cfg ~piats
+
+(* The input the pipeline does not model, or [None] when it does. *)
+let pipeline_gap cfg =
+  if cfg.payload_model <> Poisson_payload then Some "cbr_payload"
   else if not (Fastpath.eligible_hops cfg.hops) then Some "onoff_cross"
   else None
 
 let run ?(fresh_arena = false) cfg ~piats =
-  validate cfg;
-  if piats < 1 then invalid_arg "System.run: piats < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "system.run seed=%d pps=%g" cfg.seed cfg.payload_rate_pps)
-  @@ fun () ->
-  (* [piats] gaps need piats + 1 timestamps after the trim drops
-     warmup + 1 of them; chunked running may stop exactly on target. *)
-  let target = piats + cfg.warmup_piats + 2 in
-  let expected_rate = 1.0 /. Padding.Timer.mean cfg.timer in
-  let event_loop () =
-    run_event_loop ~fresh_arena cfg ~piats ~target ~expected_rate
-  in
-  match kernel_reason cfg with
+  with_arena ~scenario:"system.run" ~fresh_arena cfg ~count:piats
+    ~count_error:"System.run: piats < 1"
+  @@ fun arena ->
+  match pipeline_gap cfg with
   | Some reason ->
       Fastpath.note_fallback ~reason;
-      event_loop ()
-  | None -> (
-      match
-        Fastpath.try_run ~fresh_arena ~scenario:"system.run" ~seed:cfg.seed
+      padded_event_loop arena cfg ~piats
+  | None ->
+      let o =
+        Fastpath.run ~arena ~scenario:"system.run" ~seed:cfg.seed
           ~timer:cfg.timer ~jitter:cfg.jitter
           ~payload_rate_pps:cfg.payload_rate_pps ~packet_size:cfg.packet_size
-          ~hops:cfg.hops ~tap_position:cfg.tap_position ~target ~expected_rate
-      with
-      | None ->
-          (* A cross-stream time tie the kernel cannot order; nothing was
-             published, so the event loop reruns the config cleanly. *)
-          Fastpath.note_fallback ~reason:"tie";
-          event_loop ()
-      | Some o ->
-          let timestamps = trim_warmup cfg o.Fastpath.timestamps in
-          {
-            piats = truncate_piats (piats_of_timestamps timestamps) ~piats;
-            timestamps;
-            overhead = o.Fastpath.overhead;
-            payload_offered = o.Fastpath.payload_offered;
-            payload_delivered = o.Fastpath.payload_delivered;
-            (* [run] never sets a gateway queue limit, so the event loop
-               cannot drop at the gateway either. *)
-            payload_dropped_gw = 0;
-            mean_payload_latency = o.Fastpath.mean_payload_latency;
-            sim_time = o.Fastpath.sim_time;
-          })
+          ~hops:cfg.hops ~tap_position:cfg.tap_position
+          ~target:(tap_target cfg ~count:piats)
+          ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
+      in
+      let piats, timestamps = observed cfg ~count:piats o.Fastpath.timestamps in
+      {
+        piats;
+        timestamps;
+        overhead = o.Fastpath.overhead;
+        payload_offered = o.Fastpath.payload_offered;
+        payload_delivered = o.Fastpath.payload_delivered;
+        payload_dropped_gw = 0;
+        mean_payload_latency = o.Fastpath.mean_payload_latency;
+        sim_time = o.Fastpath.sim_time;
+      }
 
 (* Intra-run domain sharding: one logical PIAT collection split into
    [shards] independent simulations with index-derived seeds, fanned out
@@ -241,160 +263,48 @@ let run_sharded ?(fresh_arena = false) ?jobs ?(shards = 1) cfg ~piats =
 
 let run_mix ?(fresh_arena = false) ?(threshold = 8) ?(timeout = 0.5) cfg
     ~piats =
-  validate cfg;
-  if piats < 1 then invalid_arg "System.run_mix: piats < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "system.mix seed=%d pps=%g" cfg.seed cfg.payload_rate_pps)
-  @@ fun () ->
-  let arena = Arena.get ~fresh:fresh_arena in
-  let sim = arena.Arena.sim in
-  arm_event_budget sim;
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
-  let receiver = Padding.Receiver.create sim () in
-  let topo =
-    Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
-      ~tap_position:cfg.tap_position
-      ~tap_buffers:(Arena.tap_buffers arena)
-      ~dest:(Padding.Receiver.port receiver)
-      ()
-  in
-  let mix =
-    Padding.Mix.create sim ~rng:rng_gateway ~threshold ~timeout
-      ~packet_size:cfg.packet_size ~dest:topo.Netsim.Topology.entry ()
-  in
-  let source =
-    start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:(Padding.Mix.input mix)
-  in
-  let target = piats + cfg.warmup_piats + 2 in
+  with_arena ~scenario:"system.mix" ~fresh_arena cfg ~count:piats
+    ~count_error:"System.run_mix: piats < 1"
+  @@ fun arena ->
   (* Each timeout flush emits [threshold] packets, so the slowest possible
      wire rate is threshold/timeout. *)
-  run_until_tap_count ~scenario:"system.mix" sim ~tap:topo.Netsim.Topology.tap
-    ~target ~expected_rate:(float_of_int threshold /. timeout);
-  Netsim.Traffic_gen.stop source;
-  Padding.Mix.stop mix;
-  Netsim.Topology.stop_cross topo;
-  Desim.Sim.publish_metrics sim;
-  let timestamps = trim_warmup cfg (Netsim.Tap.timestamps topo.Netsim.Topology.tap) in
-  let all_piats = piats_of_timestamps timestamps in
-  let piats_arr =
-    if Array.length all_piats > piats then Array.sub all_piats 0 piats
-    else all_piats
-  in
-  {
-    piats = piats_arr;
-    timestamps;
-    overhead = Padding.Mix.overhead mix;
-    payload_offered = Netsim.Traffic_gen.generated source;
-    payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = 0;
-    mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
-    sim_time = Desim.Sim.now sim;
-  }
+  assemble arena cfg ~scenario:"system.mix" ~count:piats
+    ~expected_rate:(float_of_int threshold /. timeout)
+    (fun sim ~rng ~dest ->
+      let mix =
+        Padding.Mix.create sim ~rng ~threshold ~timeout
+          ~packet_size:cfg.packet_size ~dest ()
+      in
+      {
+        input = Padding.Mix.input mix;
+        stop = (fun () -> Padding.Mix.stop mix);
+        overhead = (fun () -> Padding.Mix.overhead mix);
+      })
 
 let run_adaptive ?(fresh_arena = false) ?(min_period = 0.010)
     ?(max_period = 0.040) cfg ~piats =
-  validate cfg;
-  if piats < 1 then invalid_arg "System.run_adaptive: piats < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "system.adaptive seed=%d pps=%g" cfg.seed
-       cfg.payload_rate_pps)
-  @@ fun () ->
-  let arena = Arena.get ~fresh:fresh_arena in
-  let sim = arena.Arena.sim in
-  arm_event_budget sim;
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
-  let receiver = Padding.Receiver.create sim () in
-  let topo =
-    Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
-      ~tap_position:cfg.tap_position
-      ~tap_buffers:(Arena.tap_buffers arena)
-      ~dest:(Padding.Receiver.port receiver)
-      ()
-  in
-  let gateway =
-    Padding.Adaptive.create sim ~rng:rng_gateway ~min_period ~max_period
-      ~jitter:cfg.jitter ~packet_size:cfg.packet_size ~buffers:arena.Arena.gw
-      ~dest:topo.Netsim.Topology.entry ()
-  in
-  let source =
-    start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:(Padding.Adaptive.input gateway)
-  in
-  let target = piats + cfg.warmup_piats + 2 in
+  with_arena ~scenario:"system.adaptive" ~fresh_arena cfg ~count:piats
+    ~count_error:"System.run_adaptive: piats < 1"
+  @@ fun arena ->
   (* Worst case the adaptive gateway idles at max_period. *)
-  run_until_tap_count ~scenario:"system.adaptive" sim
-    ~tap:topo.Netsim.Topology.tap ~target ~expected_rate:(1.0 /. max_period);
-  Netsim.Traffic_gen.stop source;
-  Padding.Adaptive.stop gateway;
-  Netsim.Topology.stop_cross topo;
-  Desim.Sim.publish_metrics sim;
-  let timestamps = trim_warmup cfg (Netsim.Tap.timestamps topo.Netsim.Topology.tap) in
-  let all_piats = piats_of_timestamps timestamps in
-  let piats_arr =
-    if Array.length all_piats > piats then Array.sub all_piats 0 piats
-    else all_piats
-  in
-  {
-    piats = piats_arr;
-    timestamps;
-    overhead = Padding.Adaptive.overhead gateway;
-    payload_offered = Netsim.Traffic_gen.generated source;
-    payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = 0;
-    mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
-    sim_time = Desim.Sim.now sim;
-  }
+  assemble arena cfg ~scenario:"system.adaptive" ~count:piats
+    ~expected_rate:(1.0 /. max_period)
+    (fun sim ~rng ~dest ->
+      let gw =
+        Padding.Adaptive.create sim ~rng ~min_period ~max_period
+          ~jitter:cfg.jitter ~packet_size:cfg.packet_size
+          ~buffers:arena.Arena.gw ~dest ()
+      in
+      {
+        input = Padding.Adaptive.input gw;
+        stop = (fun () -> Padding.Adaptive.stop gw);
+        overhead = (fun () -> Padding.Adaptive.overhead gw);
+      })
 
 let run_unpadded ?(fresh_arena = false) cfg ~packets =
-  validate cfg;
-  if packets < 1 then invalid_arg "System.run_unpadded: packets < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "system.unpadded seed=%d pps=%g" cfg.seed
-       cfg.payload_rate_pps)
-  @@ fun () ->
-  let arena = Arena.get ~fresh:fresh_arena in
-  let sim = arena.Arena.sim in
-  arm_event_budget sim;
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let _rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
-  let receiver = Padding.Receiver.create sim () in
-  let topo =
-    Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
-      ~tap_position:cfg.tap_position
-      ~tap_buffers:(Arena.tap_buffers arena)
-      ~dest:(Padding.Receiver.port receiver)
-      ()
-  in
-  let source =
-    start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:topo.Netsim.Topology.entry
-  in
-  let target = packets + cfg.warmup_piats + 2 in
-  run_until_tap_count ~scenario:"system.unpadded" sim
-    ~tap:topo.Netsim.Topology.tap ~target ~expected_rate:cfg.payload_rate_pps;
-  Netsim.Traffic_gen.stop source;
-  Netsim.Topology.stop_cross topo;
-  Desim.Sim.publish_metrics sim;
-  let timestamps = trim_warmup cfg (Netsim.Tap.timestamps topo.Netsim.Topology.tap) in
-  {
-    piats = piats_of_timestamps timestamps;
-    timestamps;
-    overhead = 0.0;
-    payload_offered = Netsim.Traffic_gen.generated source;
-    payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = 0;
-    mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
-    sim_time = Desim.Sim.now sim;
-  }
+  with_arena ~scenario:"system.unpadded" ~fresh_arena cfg ~count:packets
+    ~count_error:"System.run_unpadded: packets < 1"
+  @@ fun arena ->
+  assemble arena cfg ~scenario:"system.unpadded" ~count:packets
+    ~expected_rate:cfg.payload_rate_pps (fun _sim ~rng:_ ~dest ->
+      { input = dest; stop = ignore; overhead = (fun () -> 0.0) })

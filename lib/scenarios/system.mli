@@ -52,14 +52,23 @@ val run : ?fresh_arena:bool -> config -> piats:int -> result
     identical to a fresh simulator but without re-growing storage on every
     run of a sweep; [fresh_arena:true] forces brand-new state.
 
-    Eligible configurations (Poisson payload, cross traffic absent or
-    Poisson — the no-fault common case) execute on the fused
-    {!Fastpath} kernels instead of per-event dispatch.  The two paths
-    are bit-identical — same RNG draws, tap timestamps, trace stream and
-    metric totals — so which one ran is visible only through the
-    [desim.kernel.runs] / [desim.kernel.fallbacks{reason}] counters.
-    Set [TA_FORCE_EVENT_LOOP=1] or {!Fastpath.set_enabled}[ false] to
-    force the event loop. *)
+    Runs with Poisson payload and cross traffic absent or Poisson — the
+    no-fault common case — execute on the staged {!Fastpath} pipeline;
+    [desim.kernel.runs] counts them.  CBR payload and on/off cross
+    traffic take {!run_event_loop}, counted in
+    [desim.kernel.fallbacks{reason=cbr_payload|onoff_cross}].  Both
+    paths follow the same tie rule for same-instant events (see
+    {!Fastpath}) and give bit-identical results and metric totals, except
+    that the pipeline reports a deterministic surrogate for the
+    [desim.queue_hwm] event-queue gauge. *)
+
+val run_event_loop : ?fresh_arena:bool -> config -> piats:int -> result
+(** {!run} on the discrete-event simulator, whatever the configuration:
+    the path {!run} itself takes for CBR payload and on/off cross
+    traffic, and the reference the pipeline is tested against.  Same
+    arguments and trace run name as {!run}; raises
+    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] as
+    {!run} does. *)
 
 val run_sharded :
   ?fresh_arena:bool -> ?jobs:int -> ?shards:int -> config -> piats:int -> result
@@ -86,8 +95,9 @@ val run_sharded :
 
 val run_unpadded : ?fresh_arena:bool -> config -> packets:int -> result
 (** Baseline without any gateway: the payload stream crosses the same hop
-    chain in the clear ([timer]/[jitter] ignored, [piats] are payload
-    inter-arrivals).  Used by the packet-counting attack example.
+    chain in the clear ([timer]/[jitter] ignored, [piats] are exactly
+    [packets] payload inter-arrivals).  Used by the packet-counting
+    attack example.
     Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
     as {!run} does. *)
 

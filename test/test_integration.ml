@@ -62,6 +62,8 @@ let test_system_unpadded_rate () =
   let res =
     Scenarios.System.run_unpadded Scenarios.System.default_config ~packets:2000
   in
+  Alcotest.(check int) "exactly the packets asked for" 2000
+    (Array.length res.Scenarios.System.piats);
   (* Unpadded: PIAT mean ~ 1/rate = 0.1 s. *)
   close ~tol:0.05 "unpadded mean PIAT" 0.1
     (Stats.Descriptive.mean res.Scenarios.System.piats)

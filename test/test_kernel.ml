@@ -1,24 +1,20 @@
-(* Fused-kernel fast path: the differential contract.
+(* Staged pipeline: the differential contract.
 
-   [System.run]'s kernel path must be observably indistinguishable from
-   the event loop — same RNG draws in the same order, bit-identical
-   result fields, metric totals and ta-trace/1 bytes, at any worker
-   count, through checkpoint/resume.  These tests run every eligible
-   configuration shape both ways and compare everything; plus property
-   tests for the batched variate generator and the geometric boundary
-   the kernel work surfaced. *)
+   [System.run]'s pipeline path must be observably indistinguishable
+   from [System.run_event_loop] — same RNG draws in the same order,
+   bit-identical result fields, metric totals and ta-trace/1 bytes, at
+   any worker count, through checkpoint/resume.  Both engines follow one
+   tie rule for same-instant events (departures first on every link,
+   equal trace keys in pipeline order), so the configurations whose
+   event times sit on a lattice are in the set too.  Plus property tests
+   for the batched variate generator and the geometric boundary the
+   kernel work surfaced. *)
 
 module System = Scenarios.System
-module Fastpath = Scenarios.Fastpath
 
 let with_jobs jobs f =
   Exec.Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Exec.Pool.set_default_jobs 1) f
-
-let with_kernel on f =
-  let was = Fastpath.enabled () in
-  Fastpath.set_enabled on;
-  Fun.protect ~finally:(fun () -> Fastpath.set_enabled was) f
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -121,33 +117,67 @@ let onoff_cross =
     burst = `On_off (0.1, 0.4, None);
   }
 
-(* Every eligible configuration shape: CIT and all VIT laws, all jitter
+(* Trace comparison per configuration: byte-identical, or — only where
+   every event time sits on one lattice and the event loop's dispatch
+   order among equal-timestamp lines of different stages is its
+   scheduling order — the same multiset of lines. *)
+type trace_check = Bytes | Multiset
+
+(* Every pipeline configuration shape: CIT and all VIT laws, all jitter
    models, no hops / loaded chain / mid-chain tap / propagation /
-   queue-limit drops. *)
-let eligible_configs =
+   queue-limit drops, plus the shapes whose ties the shared rule orders:
+   - cit_nohops is the default config; traced, a fire and the tap
+     observation of its emission share a trace key whenever the
+     mechanistic latency clamps to 0;
+   - chain_midtap: a Poisson-cross hop followed by two equal-rate plain
+     hops, so queued packets leave back to back and land on the next
+     hop exactly as the previous one finishes;
+   - lattice_chain: jitterless CIT with timer period = transmit time =
+     propagation, every event time on one lattice;
+   - lattice_qlimit2: jitterless CIT into a queue_limit 2 hop whose
+     Poisson cross packets have the padded size and transmit time = timer
+     period, so drops land on the instants the tap observes departures;
+   - tandem_qlimit1: chain_midtap's shape with queue_limit 1 on the
+     plain hops, where departures first decides accept vs drop, and a
+     slower last hop that drops;
+   - fig8b WAN paths at 04:00 and 16:00. *)
+let configs =
   let base = System.default_config in
+  let wan hour =
+    let hops = Scenarios.Fig8.hops_for Scenarios.Fig8.Wan ~hour in
+    (* ~78k cross packets per simulated second: keep the runs short. *)
+    { base with hops; tap_position = Array.length hops; warmup_piats = 10 }
+  in
   [
-    ("cit_nohops", base);
+    ("cit_nohops", base, 400, Bytes);
     ( "cit_fast_jitterless",
       {
         base with
         timer = Padding.Timer.Constant 0.002;
         jitter = Padding.Jitter.none;
         payload_rate_pps = 300.0;
-      } );
+      },
+      400,
+      Bytes );
     ( "vit_normal",
       {
         base with
         timer = Padding.Timer.Normal { mean = 0.010; sigma = 0.002 };
         jitter = Padding.Jitter.parametric ~mu:5e-5 ~sigma:8e-6;
-      } );
+      },
+      400,
+      Bytes );
     ( "vit_uniform",
       {
         base with
         timer = Padding.Timer.Uniform { mean = 0.010; half_width = 0.004 };
-      } );
+      },
+      400,
+      Bytes );
     ( "vit_exponential",
-      { base with timer = Padding.Timer.Exponential { mean = 0.012 } } );
+      { base with timer = Padding.Timer.Exponential { mean = 0.012 } },
+      400,
+      Bytes );
     ( "chain_loaded",
       {
         base with
@@ -158,19 +188,70 @@ let eligible_configs =
             hop ~bw:400_000.0 ~qlimit:3 ~cross:(poisson_cross 200.0) ();
           |];
         tap_position = 3;
-      } );
+      },
+      400,
+      Bytes );
     ( "chain_midtap",
       {
         base with
         hops = [| hop ~cross:(poisson_cross 120.0) (); hop (); hop () |];
         tap_position = 1;
-      } );
+      },
+      400,
+      Bytes );
+    ( "lattice_chain",
+      {
+        base with
+        jitter = Padding.Jitter.none;
+        (* 500 B at 400 kb/s: transmit time = timer period = 10 ms. *)
+        hops =
+          Array.init 3 (fun _ -> hop ~bw:400_000.0 ~prop:0.010 ());
+        tap_position = 3;
+      },
+      400,
+      Multiset );
+    ( "lattice_qlimit2",
+      {
+        base with
+        jitter = Padding.Jitter.none;
+        hops =
+          [|
+            hop ~bw:400_000.0 ~qlimit:2
+              ~cross:
+                { Netsim.Topology.rate_pps = 30.0; size_bytes = 500; burst = `Poisson }
+              ();
+          |];
+        tap_position = 1;
+      },
+      400,
+      Multiset );
+    ( "tandem_qlimit1",
+      {
+        base with
+        hops =
+          [|
+            hop ~cross:(poisson_cross 120.0) ();
+            hop ~qlimit:1 ();
+            hop ~bw:800_000.0 ~qlimit:1 ();
+          |];
+        tap_position = 2;
+      },
+      400,
+      Bytes );
+    ("fig8b_wan_0400", wan 4.0, 40, Bytes);
+    ("fig8b_wan_1600", wan 16.0, 40, Bytes);
   ]
+
+let config name =
+  List.find_map (fun (n, cfg, _, _) -> if n = name then Some cfg else None) configs
+  |> Option.get
+
+let seeds = List.init 10 (fun i -> 1 + (97 * i))
 
 let filtered_snapshot () =
   (* The event-queue-depth gauge has a documented deterministic surrogate
-     on the kernel path, and the kernel.* counters record which path ran
-     — everything else must match exactly. *)
+     on the pipeline, and the kernel.* counters record which path ran —
+     everything else must match exactly. *)
   Obs.Metrics.snapshot ()
   |> List.filter (fun (name, _) ->
          name <> "desim.queue_hwm"
@@ -181,96 +262,133 @@ let filtered_snapshot () =
 let snapshot_str () =
   Format.asprintf "%a" Obs.Metrics.Snapshot.pp (filtered_snapshot ())
 
-let kernel_runs () =
-  Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
-    "desim.kernel.runs"
+let counter name =
+  Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ()) name
 
-let fallbacks reason =
-  Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
-    ("desim.kernel.fallbacks{reason=" ^ reason ^ "}")
+let kernel_runs () = counter "desim.kernel.runs"
+let fallbacks reason = counter ("desim.kernel.fallbacks{reason=" ^ reason ^ "}")
 
-let run_both ?(piats = 400) cfg =
-  Obs.Metrics.reset ();
-  let rk = with_kernel true (fun () -> System.run ~fresh_arena:true cfg ~piats) in
-  let sk = snapshot_str () in
-  let kruns = kernel_runs () + fallbacks "tie" in
-  Obs.Metrics.reset ();
-  let re =
-    with_kernel false (fun () -> System.run ~fresh_arena:true cfg ~piats)
+(* [f ()] with the ta-trace/1 stream captured; returns its bytes. *)
+let capture_trace f =
+  let path = Filename.temp_file "kernel_trace" ".jsonl" in
+  Obs.Trace.enable ~path;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.disable ())
+      (fun () ->
+        let r = f () in
+        Obs.Trace.flush ();
+        r)
   in
-  let se = snapshot_str () in
-  (rk, sk, kruns, re, se)
+  let body = read_file path in
+  Sys.remove path;
+  (r, body)
+
+(* One run on [engine] from a clean registry: result, filtered metric
+   snapshot, pipeline runs counted, and the trace bytes when [traced]. *)
+let run_on engine ~traced cfg ~piats =
+  Obs.Metrics.reset ();
+  let go () = engine ?fresh_arena:(Some true) cfg ~piats in
+  let r, trace = if traced then capture_trace go else (go (), "") in
+  (r, snapshot_str (), kernel_runs (), trace)
 
 let check_results_equal name (rk : System.result) (re : System.result) =
   (* compare, not (=): mean latency can legitimately be computed from
      zero samples in degenerate configs, and nan <> nan under (=). *)
   if Stdlib.compare rk re <> 0 then
-    Alcotest.failf "%s: kernel and event-loop results differ" name
+    Alcotest.failf "%s: pipeline and event-loop results differ" name
 
-let test_differential_results () =
+let sorted_lines s = List.sort compare (String.split_on_char '\n' s)
+
+let differential ~traced =
   List.iter
-    (fun (name, cfg) ->
-      let rk, sk, kruns, re, se = run_both cfg in
-      check_results_equal name rk re;
-      Alcotest.(check string) (name ^ ": metric totals") se sk;
-      (* Whether the kernel actually ran (vs tie-fallback) is config
-         dependent, but it must have either run or counted the tie. *)
-      Alcotest.(check int) (name ^ ": kernel attempted") 1 kruns)
-    eligible_configs
+    (fun (name, cfg, piats, check) ->
+      List.iter
+        (fun seed ->
+          let cfg = { cfg with System.seed } in
+          let name = Printf.sprintf "%s seed=%d traced=%b" name seed traced in
+          let rk, sk, kruns, tk = run_on System.run ~traced cfg ~piats in
+          let re, se, _, te =
+            run_on System.run_event_loop ~traced cfg ~piats
+          in
+          check_results_equal name rk re;
+          Alcotest.(check int) (name ^ ": exactly piats") piats
+            (Array.length rk.System.piats);
+          Alcotest.(check string) (name ^ ": metric totals") se sk;
+          Alcotest.(check int) (name ^ ": pipeline ran") 1 kruns;
+          if traced then begin
+            Alcotest.(check bool) (name ^ ": trace non-trivial") true
+              (List.length (String.split_on_char '\n' tk) > piats);
+            match check with
+            | Bytes -> Alcotest.(check string) (name ^ ": trace bytes") te tk
+            | Multiset ->
+                Alcotest.(check (list string))
+                  (name ^ ": trace lines") (sorted_lines te) (sorted_lines tk)
+          end)
+        seeds)
+    configs
 
-let test_differential_trace () =
-  (* ta-trace/1 bytes must be identical: same events, same order, same
-     timestamps, for a config that exercises gateway + links + drops +
-     cross diversion. *)
-  let cfg = List.assoc "chain_loaded" eligible_configs in
-  let capture kernel =
-    let path = Filename.temp_file "kernel_trace" ".jsonl" in
-    Obs.Metrics.reset ();
-    Obs.Trace.enable ~path;
-    Fun.protect
-      ~finally:(fun () -> Obs.Trace.disable ())
-      (fun () ->
-        ignore
-          (with_kernel kernel (fun () ->
-               System.run ~fresh_arena:true cfg ~piats:400)
-            : System.result);
-        Obs.Trace.flush ());
-    let body = read_file path in
-    Sys.remove path;
-    body
+let test_differential_results () = differential ~traced:false
+let test_differential_trace () = differential ~traced:true
+
+let test_default_trace_shares_keys () =
+  (* The traced default config does exercise the trace-key rank: some
+     timer.fire and tap.observe lines carry the same timestamp. *)
+  let stamps name body =
+    String.split_on_char '\n' body
+    |> List.filter_map (fun line ->
+           if not (Str.string_match (Str.regexp (".*\"" ^ name ^ "\"")) line 0)
+           then None
+           else if Str.string_match (Str.regexp ".*\"t\":\\([^,}]*\\)") line 0
+           then Some (Str.matched_group 1 line)
+           else None)
   in
-  let tk = capture true in
-  let te = capture false in
-  Alcotest.(check bool) "trace non-trivial" true (String.length tk > 10_000);
-  Alcotest.(check string) "identical trace bytes" te tk
+  let shared =
+    List.exists
+      (fun seed ->
+        let _, body =
+          capture_trace (fun () ->
+              System.run ~fresh_arena:true
+                { System.default_config with seed }
+                ~piats:400)
+        in
+        let fires = stamps "timer.fire" body in
+        List.exists (fun t -> List.mem t fires) (stamps "tap.observe" body))
+      seeds
+  in
+  Alcotest.(check bool) "fire and tap observation share a key" true shared
 
 let test_differential_sharded_jobs () =
-  (* One logical collection split across 8 shards: byte-identical between
-     paths at jobs 1, 2 and 8 (shards mix kernel-eligible seeds with
-     tie-fallback seeds, so this also covers mixed execution). *)
-  let cfg = List.assoc "chain_loaded" eligible_configs in
-  let run kernel jobs =
+  (* One logical collection split across 8 shards on the pipeline:
+     byte-identical at jobs 1, 2 and 8, and shard by shard the same PIATs
+     as the event loop. *)
+  let cfg = config "chain_loaded" in
+  let run jobs =
     Obs.Metrics.reset ();
-    with_kernel kernel (fun () ->
-        with_jobs jobs (fun () -> System.run_sharded ~shards:8 cfg ~piats:320))
+    with_jobs jobs (fun () -> System.run_sharded ~shards:8 cfg ~piats:320)
   in
-  let reference = run false 1 in
+  let reference = run 1 in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun kernel ->
-          let r = run kernel jobs in
-          if Stdlib.compare reference r <> 0 then
-            Alcotest.failf "kernel=%b jobs=%d differs from evloop jobs=1"
-              kernel jobs)
-        [ true; false ])
-    [ 1; 2; 8 ]
+      if Stdlib.compare reference (run jobs) <> 0 then
+        Alcotest.failf "jobs=%d differs from jobs=1" jobs)
+    [ 2; 8 ];
+  let evloop =
+    Array.concat
+      (List.init 8 (fun i ->
+           (System.run_event_loop
+              { cfg with seed = Prng.Rng.mix_seed cfg.System.seed i }
+              ~piats:40)
+             .System.piats))
+  in
+  if Stdlib.compare reference.System.piats evloop <> 0 then
+    Alcotest.fail "sharded pipeline PIATs differ from the event loop's"
 
 let test_fallback_reasons () =
-  (* Ineligible shapes must take the event loop and say why. *)
+  (* Inputs the pipeline does not model take the event loop and say why. *)
   Obs.Metrics.reset ();
   let cbr = { System.default_config with payload_model = System.Cbr_payload } in
-  ignore (with_kernel true (fun () -> System.run cbr ~piats:50) : System.result);
+  ignore (System.run cbr ~piats:50 : System.result);
   Alcotest.(check int) "cbr fallback" 1 (fallbacks "cbr_payload");
   Obs.Metrics.reset ();
   let onoff =
@@ -280,30 +398,20 @@ let test_fallback_reasons () =
       tap_position = 1;
     }
   in
-  ignore
-    (with_kernel true (fun () -> System.run onoff ~piats:50) : System.result);
+  ignore (System.run onoff ~piats:50 : System.result);
   Alcotest.(check int) "on/off fallback" 1 (fallbacks "onoff_cross");
-  Obs.Metrics.reset ();
-  ignore
-    (with_kernel false (fun () -> System.run System.default_config ~piats:50)
-      : System.result);
-  Alcotest.(check int) "disabled fallback" 1 (fallbacks "disabled");
   Alcotest.(check int) "no kernel runs" 0 (kernel_runs ())
 
 let test_checkpoint_resume_mixed_paths () =
   (* Kill-resume through Sweep.mapi: half the points journaled by a
-     kernel-path run, the rest computed after resume by an event-loop
-     process (and vice versa) must reproduce the uninterrupted tables. *)
+     pipeline run, the rest computed after resume on the event loop (and
+     vice versa) must reproduce the uninterrupted tables. *)
   let module Sweep = Scenarios.Sweep in
   let points = [ 0; 1; 2; 3 ] in
-  let task ~attempt:_ i x =
-    let cfg =
-      {
-        (List.assoc "chain_loaded" eligible_configs) with
-        seed = 100 + (7 * x);
-      }
-    in
-    let r = System.run cfg ~piats:200 in
+  let task kernel ~attempt:_ i x =
+    let cfg = { (config "chain_loaded") with seed = 100 + (7 * x) } in
+    let run = if kernel then System.run else System.run_event_loop in
+    let r = run cfg ~piats:200 in
     (i, r.System.piats, r.System.overhead, r.System.mean_payload_latency)
   in
   let with_temp_dir f =
@@ -327,9 +435,9 @@ let test_checkpoint_resume_mixed_paths () =
   Fun.protect ~finally:reset_sweep @@ fun () ->
   let uninterrupted =
     reset_sweep ();
-    with_kernel true (fun () ->
-        Sweep.ok_values
-          (Sweep.mapi ~sweep:"kernel.ckpt" ~digest:"d" ~seed:1 ~task points))
+    Sweep.ok_values
+      (Sweep.mapi ~sweep:"kernel.ckpt" ~digest:"d" ~seed:1 ~task:(task true)
+         points)
   in
   List.iter
     (fun (first_kernel, resume_kernel) ->
@@ -339,17 +447,15 @@ let test_checkpoint_resume_mixed_paths () =
           (* First process journals only the first two points ("killed"
              after a partial run). *)
           let _partial =
-            with_kernel first_kernel (fun () ->
-                Sweep.mapi ~sweep:"kernel.ckpt" ~digest:"d" ~seed:1 ~task
-                  [ 0; 1 ])
+            Sweep.mapi ~sweep:"kernel.ckpt" ~digest:"d" ~seed:1
+              ~task:(task first_kernel) [ 0; 1 ]
           in
           (* Second process resumes the full sweep on the other path:
              journaled points replay, missing ones compute fresh. *)
           let resumed =
-            with_kernel resume_kernel (fun () ->
-                Sweep.ok_values
-                  (Sweep.mapi ~sweep:"kernel.ckpt" ~digest:"d" ~seed:1 ~task
-                     points))
+            Sweep.ok_values
+              (Sweep.mapi ~sweep:"kernel.ckpt" ~digest:"d" ~seed:1
+                 ~task:(task resume_kernel) points)
           in
           if Stdlib.compare uninterrupted resumed <> 0 then
             Alcotest.failf
@@ -373,6 +479,8 @@ let suite =
       test_differential_trace;
     Alcotest.test_case "differential: sharded at jobs 1/2/8" `Quick
       test_differential_sharded_jobs;
+    Alcotest.test_case "differential: default trace shares keys" `Quick
+      test_default_trace_shares_keys;
     Alcotest.test_case "fallback reasons counted" `Quick test_fallback_reasons;
     Alcotest.test_case "checkpoint resume across paths" `Quick
       test_checkpoint_resume_mixed_paths;

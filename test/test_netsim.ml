@@ -25,6 +25,24 @@ let test_fvec () =
   Netsim.Fvec.clear v;
   Alcotest.(check int) "cleared" 0 (Netsim.Fvec.length v)
 
+let test_fring_drop_le () =
+  (* Drops the ascending prefix <= x, including across the wrap-around. *)
+  let r = Netsim.Fring.create ~capacity:4 () in
+  List.iter (Netsim.Fring.push r) [ 1.0; 2.0; 3.0 ];
+  ignore (Netsim.Fring.pop r : float);
+  ignore (Netsim.Fring.pop r : float);
+  List.iter (Netsim.Fring.push r) [ 4.0; 5.0; 6.0 ];
+  Netsim.Fring.drop_le r 4.0;
+  Alcotest.(check int) "3 and 4 dropped" 2 (Netsim.Fring.length r);
+  close "front" 5.0 (Netsim.Fring.peek r);
+  Netsim.Fring.drop_le r 4.5;
+  Alcotest.(check int) "nothing <= 4.5 left" 2 (Netsim.Fring.length r);
+  Netsim.Fring.drop_le r 10.0;
+  Alcotest.(check bool) "drained" true (Netsim.Fring.is_empty r);
+  Netsim.Fring.drop_le r 10.0;
+  Netsim.Fring.push r 7.0;
+  close "usable after draining" 7.0 (Netsim.Fring.pop r)
+
 (* --- Packet --- *)
 
 let test_packet_ids_unique () =
@@ -118,6 +136,35 @@ let test_link_queue_limit_drops () =
   Alcotest.(check int) "drops counted" 3 (Netsim.Link.dropped link);
   Desim.Sim.run_until sim ~time:10.0;
   Alcotest.(check int) "survivors delivered" 2 !delivered
+
+let test_link_departures_first () =
+  (* A send landing exactly on the previous packet's finish sees the
+     queue after that departure, even though its event was scheduled
+     first and so is dispatched before the finish event. *)
+  Obs.Metrics.reset ();
+  let sim = Desim.Sim.create () in
+  let delivered = ref 0 in
+  let link =
+    Netsim.Link.create sim ~bandwidth_bps:8000.0 ~queue_limit:1
+      ~dest:(fun _ -> incr delivered)
+      ()
+  in
+  (* 1000 bytes at 8000 bps: the first packet finishes at t = 1.0. *)
+  ignore
+    (Desim.Sim.at sim ~time:1.0 (fun () -> Netsim.Link.send link (mk_packet sim))
+      : Desim.Sim.handle);
+  ignore
+    (Desim.Sim.at sim ~time:0.0 (fun () -> Netsim.Link.send link (mk_packet sim))
+      : Desim.Sim.handle);
+  Desim.Sim.run_until sim ~time:10.0;
+  Alcotest.(check int) "no drop at the finish instant" 0
+    (Netsim.Link.dropped link);
+  Alcotest.(check int) "both delivered" 2 !delivered;
+  match
+    Obs.Metrics.Snapshot.find (Obs.Metrics.snapshot ()) "netsim.link.queue_hwm"
+  with
+  | Some (Obs.Metrics.Snapshot.Gauge hwm) -> close "queue hwm" 1.0 hwm
+  | _ -> Alcotest.fail "netsim.link.queue_hwm not recorded"
 
 let test_link_conservation () =
   (* sent + dropped + in-flight = offered, and after draining in-flight = 0 *)
@@ -429,6 +476,9 @@ let suite =
     Alcotest.test_case "link propagation" `Quick test_link_propagation;
     Alcotest.test_case "link idles" `Quick test_link_idle_resets;
     Alcotest.test_case "link queue limit" `Quick test_link_queue_limit_drops;
+    Alcotest.test_case "fring drop_le" `Quick test_fring_drop_le;
+    Alcotest.test_case "link departures first" `Quick
+      test_link_departures_first;
     Alcotest.test_case "link conservation" `Quick test_link_conservation;
     Alcotest.test_case "link sustained overload" `Quick
       test_link_sustained_overload_conserves;
