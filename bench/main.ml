@@ -12,7 +12,7 @@
 let fmt = Format.std_formatter
 
 let scale = ref 1.0
-let seed = ref 42_000
+let seed = ref Scenarios.Catalog.default_seed
 let only = ref "all"
 let csv_dir = ref ""
 let run_micro = ref true
@@ -29,10 +29,8 @@ let event_budget = ref 0 (* 0 = disarmed *)
 let half_width : float option ref = ref None
 
 let known_figures =
-  [
-    "fig4a"; "fig4b"; "fig5a"; "fig5b"; "fig6"; "fig8a"; "fig8b"; "multirate";
-    "faults"; "fleet"; "ablations";
-  ]
+  let open Scenarios.Catalog in
+  List.map (fun f -> f.stage.id) figures @ [ faults.id; fleet.id; ablations.id ]
 
 let args =
   [
@@ -167,50 +165,24 @@ let fleet_throughput () =
     [ (10_000, 2.0); (100_000, 0.2); (1_000_000, 0.02) ]
 
 let run_figures () =
-  let scale = !scale and s = !seed in
+  let scale = !scale and s = !seed and csv_dir = csv () in
+  let open Scenarios.Catalog in
   Scenarios.Calibration.print_setup fmt;
-  timed "fig4a" (fun () ->
-      ignore (Scenarios.Fig4a.run ~scale ~seed:(s + 1) ?csv_dir:(csv ()) fmt));
-  timed "fig4b" (fun () ->
-      ignore (Scenarios.Fig4b.run ~scale ~seed:(s + 2) ?csv_dir:(csv ()) fmt));
-  timed "fig5a" (fun () ->
-      ignore (Scenarios.Fig5a.run ~scale ~seed:(s + 3) ?csv_dir:(csv ()) fmt));
-  timed "fig5b" (fun () ->
-      ignore (Scenarios.Fig5b.run ~seed:(s + 4) ?csv_dir:(csv ()) fmt));
-  timed "fig6" (fun () ->
+  List.iter
+    (fun f ->
+      timed f.stage.id (fun () ->
+          f.run ~scale ~seed:(Some (s + f.stage.offset)) ~csv_dir
+            ~half_width:!half_width fmt))
+    figures;
+  timed faults.id (fun () ->
       ignore
-        (Scenarios.Fig6.run ~scale ~seed:(s + 5) ?half_width:!half_width
-           ?csv_dir:(csv ()) fmt));
-  timed "fig8a" (fun () ->
-      ignore
-        (Scenarios.Fig8.run ~scale ~seed:(s + 6) ?half_width:!half_width
-           ~kind:Scenarios.Fig8.Campus ?csv_dir:(csv ()) fmt));
-  timed "fig8b" (fun () ->
-      ignore
-        (Scenarios.Fig8.run ~scale ~seed:(s + 7) ?half_width:!half_width
-           ~kind:Scenarios.Fig8.Wan ?csv_dir:(csv ()) fmt));
-  timed "multirate" (fun () ->
-      ignore (Scenarios.Multirate.run ~scale ~seed:(s + 8) ?csv_dir:(csv ()) fmt));
-  timed "faults" (fun () ->
-      ignore
-        (Scenarios.Degradation.run ~scale ~seed:(s + 20)
-           ?intensities:!intensities ?csv_dir:(csv ()) fmt));
-  timed "fleet" (fun () ->
-      ignore (Scenarios.Fleet.run ~scale ~seed:(s + 21) ?csv_dir:(csv ()) fmt);
+        (Scenarios.Degradation.run ~scale ~seed:(s + faults.offset)
+           ?intensities:!intensities ?csv_dir fmt));
+  timed fleet.id (fun () ->
+      ignore (Scenarios.Fleet.run ~scale ~seed:(s + fleet.offset) ?csv_dir fmt);
       fleet_throughput ());
-  timed "ablations" (fun () ->
-      ignore (Scenarios.Ablations.run_jitter_models ~scale ~seed:(s + 9) fmt);
-      ignore (Scenarios.Ablations.run_vit_laws ~scale ~seed:(s + 10) fmt);
-      ignore (Scenarios.Ablations.run_entropy_bins ~scale ~seed:(s + 11) fmt);
-      ignore (Scenarios.Ablations.run_tap_positions ~scale ~seed:(s + 12) fmt);
-      ignore (Scenarios.Ablations.run_oracle_vs_kde ~scale ~seed:(s + 13) fmt);
-      ignore (Scenarios.Ablations.run_adaptive_vs_cit ~scale ~seed:(s + 14) fmt);
-      ignore (Scenarios.Ablations_ext.run_classifier_backends ~scale ~seed:(s + 15) fmt);
-      ignore (Scenarios.Ablations_ext.run_mix_vs_padding ~scale ~seed:(s + 16) fmt);
-      ignore (Scenarios.Ablations_ext.run_size_padding ~seed:(s + 18) fmt);
-      ignore (Scenarios.Ablations_ext.run_roc ~scale ~seed:(s + 19) fmt);
-      Scenarios.Ablations_ext.run_bounds_table fmt;
-      ignore (Scenarios.Ablations_ext.run_qos_table ~seed:(s + 17) fmt))
+  timed ablations.id (fun () ->
+      run_ablations ~scale ~seed:(s + ablations.offset) fmt)
 
 (* --- Bechamel micro-benchmarks of the hot kernels --- *)
 

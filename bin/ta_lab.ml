@@ -62,8 +62,6 @@ let jobs_arg =
   in
   Arg.(value & opt (some jobs_conv) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let apply_jobs jobs = Option.iter Exec.Pool.set_default_jobs jobs
-
 let csv_arg =
   let doc =
     "Directory to drop CSV copies of the printed tables into (created, \
@@ -85,8 +83,6 @@ let metrics_arg =
      clock."
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let apply_trace trace = Option.iter (fun path -> Obs.Trace.enable ~path) trace
 
 (* Resilient-execution knobs, shared by every sweep-running command. *)
 
@@ -205,63 +201,42 @@ let print_metrics () =
             s.Obs.Span.name s.count s.total_s s.self_s)
         spans
 
-let finish_obs metrics =
-  Obs.Trace.flush ();
-  if metrics then print_metrics ()
+(* What every sweep-running command does around its sweeps: apply the
+   worker, trace and resilience knobs, run, then flush the trace, print
+   --metrics and report partial results. *)
+type session = {
+  jobs : int option;
+  trace : string option;
+  metrics : bool;
+  resilience : resilience;
+}
 
-let run_figure name f =
-  let run scale seed csv_dir jobs trace metrics resilience =
-    match apply_resilience resilience with
-    | `Error _ as e -> e
-    | `Ok () ->
-        apply_jobs jobs;
-        apply_trace trace;
+let session_term =
+  let make jobs trace metrics resilience = { jobs; trace; metrics; resilience } in
+  Term.(const make $ jobs_arg $ trace_arg $ metrics_arg $ resilience_term)
+
+let with_session s ~csv_dir f =
+  match apply_resilience s.resilience with
+  | `Error _ as e -> e
+  | `Ok () ->
+      Option.iter Exec.Pool.set_default_jobs s.jobs;
+      Option.iter (fun path -> Obs.Trace.enable ~path) s.trace;
+      f ();
+      Obs.Trace.flush ();
+      if s.metrics then print_metrics ();
+      finish_partial ~resilience:s.resilience ~csv_dir;
+      `Ok ()
+
+let figure_cmd (figure : Scenarios.Catalog.figure) =
+  let run scale seed csv_dir session =
+    with_session session ~csv_dir (fun () ->
         Scenarios.Calibration.print_setup fmt;
-        f ~scale ?seed ?csv_dir ();
-        finish_obs metrics;
-        finish_partial ~resilience ~csv_dir;
-        `Ok ()
+        figure.run ~scale ~seed ~csv_dir ~half_width:None fmt)
   in
-  let term =
-    Term.(
-      ret
-        (const run $ scale_arg $ seed_arg $ csv_arg $ jobs_arg $ trace_arg
-       $ metrics_arg $ resilience_term))
-  in
-  let info = Cmd.info name ~doc:(Printf.sprintf "Reproduce %s." name) in
-  Cmd.v info term
-
-let fig4a_cmd =
-  run_figure "fig4a" (fun ~scale ?seed ?csv_dir () ->
-      ignore (Scenarios.Fig4a.run ~scale ?seed ?csv_dir fmt))
-
-let fig4b_cmd =
-  run_figure "fig4b" (fun ~scale ?seed ?csv_dir () ->
-      ignore (Scenarios.Fig4b.run ~scale ?seed ?csv_dir fmt))
-
-let fig5a_cmd =
-  run_figure "fig5a" (fun ~scale ?seed ?csv_dir () ->
-      ignore (Scenarios.Fig5a.run ~scale ?seed ?csv_dir fmt))
-
-let fig5b_cmd =
-  run_figure "fig5b" (fun ~scale:_ ?seed ?csv_dir () ->
-      ignore (Scenarios.Fig5b.run ?seed ?csv_dir fmt))
-
-let fig6_cmd =
-  run_figure "fig6" (fun ~scale ?seed ?csv_dir () ->
-      ignore (Scenarios.Fig6.run ~scale ?seed ?csv_dir fmt))
-
-let fig8a_cmd =
-  run_figure "fig8a" (fun ~scale ?seed ?csv_dir () ->
-      ignore (Scenarios.Fig8.run ~scale ?seed ~kind:Scenarios.Fig8.Campus ?csv_dir fmt))
-
-let fig8b_cmd =
-  run_figure "fig8b" (fun ~scale ?seed ?csv_dir () ->
-      ignore (Scenarios.Fig8.run ~scale ?seed ~kind:Scenarios.Fig8.Wan ?csv_dir fmt))
-
-let multirate_cmd =
-  run_figure "multirate" (fun ~scale ?seed ?csv_dir () ->
-      ignore (Scenarios.Multirate.run ~scale ?seed ?csv_dir fmt))
+  let name = figure.stage.id in
+  Cmd.v
+    (Cmd.info name ~doc:(Printf.sprintf "Reproduce %s." name))
+    Term.(ret (const run $ scale_arg $ seed_arg $ csv_arg $ session_term))
 
 let faults_cmd =
   let intensities_arg =
@@ -272,7 +247,7 @@ let faults_cmd =
     Arg.(value & opt (some (list float)) None
          & info [ "intensities" ] ~docv:"LIST" ~doc)
   in
-  let run scale seed csv_dir intensities jobs trace metrics resilience =
+  let run scale seed csv_dir intensities session =
     match
       Option.bind intensities (fun xs ->
           List.find_opt (fun x -> Float.is_nan x || x < 0.0 || x > 1.0) xs)
@@ -286,29 +261,22 @@ let faults_cmd =
           ( false,
             "at least one fault intensity in the valid range [0, 1] is \
              required" )
-    | None -> (
-        match apply_resilience resilience with
-        | `Error _ as e -> e
-        | `Ok () ->
-            apply_jobs jobs;
-            apply_trace trace;
+    | None ->
+        with_session session ~csv_dir (fun () ->
             Scenarios.Calibration.print_setup fmt;
             ignore
-              (Scenarios.Degradation.run ~scale ?seed ?csv_dir:csv_dir
-                 ?intensities fmt);
-            finish_obs metrics;
-            finish_partial ~resilience ~csv_dir;
-            `Ok ())
+              (Scenarios.Degradation.run ~scale ?seed ?csv_dir ?intensities
+                 fmt))
   in
   Cmd.v
-    (Cmd.info "faults"
+    (Cmd.info Scenarios.Catalog.faults.id
        ~doc:
          "Sweep channel-fault intensity; report detection (incl. the \
           gap-aware adversary) and QoS degradation side by side.")
     Term.(
       ret
         (const run $ scale_arg $ seed_arg $ csv_arg $ intensities_arg
-       $ jobs_arg $ trace_arg $ metrics_arg $ resilience_term))
+       $ session_term))
 
 let fleet_cmd =
   let flows_arg =
@@ -355,66 +323,38 @@ let fleet_cmd =
              Scenarios.Fleet.Flat
          & info [ "load" ] ~docv:"SHAPE" ~doc)
   in
-  let run scale seed csv_dir flows gateways probes duration load jobs trace
-      metrics resilience =
+  let run scale seed csv_dir flows gateways probes duration load session =
     match flows with
     | Some [] ->
         `Error
           (false, "at least one flow count in the valid range >= 1 is required")
-    | _ -> (
-        match apply_resilience resilience with
-        | `Error _ as e -> e
-        | `Ok () ->
-            apply_jobs jobs;
-            apply_trace trace;
+    | _ ->
+        with_session session ~csv_dir (fun () ->
             Scenarios.Calibration.print_setup fmt;
             ignore
               (Scenarios.Fleet.run ~scale ?seed ?csv_dir ?flow_counts:flows
-                 ~gateways ~probes ~duration ~load fmt);
-            finish_obs metrics;
-            finish_partial ~resilience ~csv_dir;
-            `Ok ())
+                 ~gateways ~probes ~duration ~load fmt))
   in
   Cmd.v
-    (Cmd.info "fleet"
+    (Cmd.info Scenarios.Catalog.fleet.id
        ~doc:
          "Sweep fleet size: mux many concurrent flows behind a padded \
           gateway fleet and report the per-flow detection-rate distribution.")
     Term.(
       ret
         (const run $ scale_arg $ seed_arg $ csv_arg $ flows_arg $ gateways_arg
-       $ probes_arg $ duration_arg $ load_arg $ jobs_arg $ trace_arg
-       $ metrics_arg $ resilience_term))
+       $ probes_arg $ duration_arg $ load_arg $ session_term))
 
 let ablations_cmd =
-  let run scale seed jobs trace metrics resilience =
-    match apply_resilience resilience with
-    | `Error _ as e -> e
-    | `Ok () ->
-    apply_jobs jobs;
-    apply_trace trace;
-    let seed = Option.value seed ~default:51_000 in
-    ignore (Scenarios.Ablations.run_jitter_models ~scale ~seed fmt);
-    ignore (Scenarios.Ablations.run_vit_laws ~scale ~seed:(seed + 1) fmt);
-    ignore (Scenarios.Ablations.run_entropy_bins ~scale ~seed:(seed + 2) fmt);
-    ignore (Scenarios.Ablations.run_tap_positions ~scale ~seed:(seed + 3) fmt);
-    ignore (Scenarios.Ablations.run_oracle_vs_kde ~scale ~seed:(seed + 4) fmt);
-    ignore (Scenarios.Ablations.run_adaptive_vs_cit ~scale ~seed:(seed + 5) fmt);
-    ignore (Scenarios.Ablations_ext.run_classifier_backends ~scale ~seed:(seed + 6) fmt);
-    ignore (Scenarios.Ablations_ext.run_mix_vs_padding ~scale ~seed:(seed + 7) fmt);
-    ignore (Scenarios.Ablations_ext.run_size_padding ~seed:(seed + 9) fmt);
-    ignore (Scenarios.Ablations_ext.run_roc ~scale ~seed:(seed + 10) fmt);
-    Scenarios.Ablations_ext.run_bounds_table fmt;
-    ignore (Scenarios.Ablations_ext.run_qos_table ~seed:(seed + 8) fmt);
-    finish_obs metrics;
-    finish_partial ~resilience ~csv_dir:None;
-    `Ok ()
+  let run scale seed session =
+    with_session session ~csv_dir:None (fun () ->
+        Scenarios.Catalog.run_ablations ~scale
+          ~seed:(Option.value seed ~default:Scenarios.Catalog.ablations_seed)
+          fmt)
   in
   Cmd.v
-    (Cmd.info "ablations" ~doc:"Run all design-choice ablations.")
-    Term.(
-      ret (const run $ scale_arg $ seed_arg $ jobs_arg $ trace_arg
-         $ metrics_arg $ resilience_term))
+    (Cmd.info Scenarios.Catalog.ablations.id ~doc:"Run all design-choice ablations.")
+    Term.(ret (const run $ scale_arg $ seed_arg $ session_term))
 
 let theory_cmd =
   let r_arg =
@@ -547,42 +487,29 @@ let setup_cmd =
     Term.(ret (const run $ const ()))
 
 let all_cmd =
-  let run scale seed csv_dir jobs trace metrics resilience =
-    match apply_resilience resilience with
-    | `Error _ as e -> e
-    | `Ok () ->
-    apply_jobs jobs;
-    apply_trace trace;
-    Scenarios.Calibration.print_setup fmt;
-    let s = Option.value seed ~default:42_000 in
-    ignore (Scenarios.Fig4a.run ~scale ~seed:(s + 1) ?csv_dir fmt);
-    ignore (Scenarios.Fig4b.run ~scale ~seed:(s + 2) ?csv_dir fmt);
-    ignore (Scenarios.Fig5a.run ~scale ~seed:(s + 3) ?csv_dir fmt);
-    ignore (Scenarios.Fig5b.run ~seed:(s + 4) ?csv_dir fmt);
-    ignore (Scenarios.Fig6.run ~scale ~seed:(s + 5) ?csv_dir fmt);
-    ignore (Scenarios.Fig8.run ~scale ~seed:(s + 6) ~kind:Scenarios.Fig8.Campus ?csv_dir fmt);
-    ignore (Scenarios.Fig8.run ~scale ~seed:(s + 7) ~kind:Scenarios.Fig8.Wan ?csv_dir fmt);
-    ignore (Scenarios.Multirate.run ~scale ~seed:(s + 8) ?csv_dir fmt);
-    finish_obs metrics;
-    finish_partial ~resilience ~csv_dir;
-    `Ok ()
+  let run scale seed csv_dir session =
+    with_session session ~csv_dir (fun () ->
+        Scenarios.Calibration.print_setup fmt;
+        let s = Option.value seed ~default:Scenarios.Catalog.default_seed in
+        List.iter
+          (fun (f : Scenarios.Catalog.figure) ->
+            f.run ~scale ~seed:(Some (s + f.stage.offset)) ~csv_dir
+              ~half_width:None fmt)
+          Scenarios.Catalog.figures)
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Reproduce every figure in sequence.")
-    Term.(
-      ret
-        (const run $ scale_arg $ seed_arg $ csv_arg $ jobs_arg $ trace_arg
-       $ metrics_arg $ resilience_term))
+    Term.(ret (const run $ scale_arg $ seed_arg $ csv_arg $ session_term))
 
 let main_cmd =
   let doc = "traffic-analysis countermeasure laboratory (Fu et al., ICPP 2003)" in
   Cmd.group
     (Cmd.info "ta_lab" ~version:"1.0.0" ~doc)
-    [
-      setup_cmd; fig4a_cmd; fig4b_cmd; fig5a_cmd; fig5b_cmd; fig6_cmd;
-      fig8a_cmd; fig8b_cmd; multirate_cmd; faults_cmd; fleet_cmd;
-      ablations_cmd; theory_cmd; design_cmd; evaluate_cmd; all_cmd;
-    ]
+    ((setup_cmd :: List.map figure_cmd Scenarios.Catalog.figures)
+    @ [
+        faults_cmd; fleet_cmd; ablations_cmd; theory_cmd; design_cmd;
+        evaluate_cmd; all_cmd;
+      ])
 
 let () =
   (* Runtime I/O failures (unwritable --csv target, etc.) carry an

@@ -44,7 +44,6 @@ type t = {
 let nodes t = t.nodes
 let succ t i = t.succ.(i)
 let stats t = t.stats
-let summary_of_file t file = Hashtbl.find_opt t.by_file file
 
 let suppress_for t file =
   match Hashtbl.find_opt t.suppress_cache file with
@@ -59,10 +58,6 @@ let suppress_for t file =
       s
 
 let is_project_exception t name = Hashtbl.mem t.exceptions name
-
-let project_exceptions t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.exceptions []
-  |> List.sort_uniq String.compare
 
 let qual (s : Symtab.t) (f : Symtab.fn) =
   String.concat "." ((s.s_module :: f.fn_path) @ [ f.fn_name ])

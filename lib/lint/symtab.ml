@@ -26,7 +26,8 @@ type call = {
 (* [args = 0]: a bare reference (the function escapes as a value; treated
    as a possible call by the reachability passes, never as a partial
    application).  [c_defer]: the call sits inside a closure passed to the
-   supervision machinery (Sweep.mapi / Supervise.run / Pool fan-outs) —
+   supervision machinery (Sweep.mapi and the task/prepare closures of
+   Sweep.run / Sweep.tabulate, Supervise.run, Pool fan-outs) —
    it runs under that machinery's catch-all classification, so the
    escape pass must not propagate its exceptions to the enclosing
    function; taint and alloc reachability still follow it (the task body
@@ -242,10 +243,16 @@ let collect ~mutables body_exprs =
       :: c.calls
   in
   (* The entry points whose contract is "task exceptions are caught and
-     classified, never re-raised raw": closures handed to them defer. *)
-  let supervised path =
+     classified, never re-raised raw": closures handed to them defer.
+     Sweep.run / Sweep.tabulate supervise only their task and prepare
+     closures; the row renderer runs after the sweep, unsupervised. *)
+  let supervised path (label : Asttypes.arg_label) =
     match List.rev path with
     | "mapi" :: "Sweep" :: _ -> true
+    | ("run" | "tabulate") :: "Sweep" :: _ -> (
+        match label with
+        | Labelled ("task" | "prepare") | Optional "prepare" -> true
+        | Labelled _ | Optional _ | Nolabel -> false)
     | ("run" | "with_event_budget") :: "Supervise" :: _ -> true
     | ( "parallel_map" | "parallel_mapi" | "parallel_init" | "both"
       | "with_jobs" )
@@ -317,9 +324,12 @@ let collect ~mutables body_exprs =
                           (Rules.dotted mpath) v))
             | _ -> ());
             let saved = !in_supervised in
-            if supervised path then in_supervised := true;
-            List.iter (fun (_, a) -> expr it a) args;
-            in_supervised := saved)
+            List.iter
+              (fun (label, a) ->
+                if supervised path label then in_supervised := true;
+                expr it a;
+                in_supervised := saved)
+              args)
     | Pexp_setfield
         (({ pexp_desc = Pexp_ident { txt = Lident v; loc }; _ } as r), _, v')
       ->

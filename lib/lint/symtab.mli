@@ -18,7 +18,8 @@ type call = {
   c_col : int;
   c_defer : bool;
       (** the call sits inside a closure passed to the supervision
-          machinery ([Sweep.mapi] / [Supervise.run] / [Exec.Pool]
+          machinery ([Sweep.mapi], the task/prepare closures of
+          [Sweep.run] / [Sweep.tabulate], [Supervise.run], [Exec.Pool]
           fan-outs), which catches and classifies task exceptions: the
           escape pass skips such edges, taint/alloc still follow them *)
 }

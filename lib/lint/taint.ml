@@ -8,7 +8,8 @@
    which calls [Unix.gettimeofday] is just as broken as one that reads
    the clock inline.
 
-   Roots: every call site that resolves to [Scenarios.Sweep.mapi] or to
+   Roots: every call site that resolves to [Scenarios.Sweep.mapi] (or
+   the [run] / [tabulate] helpers built on it) or to
    an [Exec.Pool] fan-out entry point.  The enclosing function is
    tainted (its nested task closure is summarised into it) and the walk
    follows resolved edges, EXCEPT into [lib/prng] and [lib/obs] — the
@@ -29,7 +30,7 @@
 let is_target (nd : Callgraph.node) =
   let base = Filename.basename nd.n_summary.Symtab.s_file in
   let fn = nd.n_fn.Symtab.fn_name in
-  (base = "sweep.ml" && fn = "mapi")
+  (base = "sweep.ml" && List.mem fn [ "mapi"; "run"; "tabulate" ])
   || base = "pool.ml"
      && List.mem fn
           [ "parallel_map"; "parallel_mapi"; "parallel_init"; "both";

@@ -11,9 +11,6 @@ type hop_spec = {
   cross : cross_spec option;
 }
 
-let default_hop ~bandwidth_bps =
-  { bandwidth_bps; propagation = 0.0; queue_limit = None; cross = None }
-
 type t = {
   entry : Link.port;
   tap : Tap.t;

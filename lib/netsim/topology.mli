@@ -20,9 +20,6 @@ type hop_spec = {
   cross : cross_spec option;
 }
 
-val default_hop : bandwidth_bps:float -> hop_spec
-(** No cross traffic, zero propagation, unbounded queue. *)
-
 type t = {
   entry : Link.port;        (** where the sender gateway pushes packets *)
   tap : Tap.t;              (** the adversary's observation point *)

@@ -13,38 +13,13 @@ let collect ~seed ~timer ~jitter ~hops ~tap_position ~piats =
   in
   Workload.collect_pair ~base ~piats
 
-let print_scored_table fmt ~title ~key_col ?(placeholders = []) rows =
-  let table =
-    Table.create ~title
-      ~columns:[ key_col; "r_hat"; "feature"; "empirical"; "theory" ]
-  in
-  List.iter
-    (fun (key, r_hat, scores) ->
-      List.iter
-        (fun (s : Workload.scored) ->
-          Table.add_row table
-            [
-              key;
-              Printf.sprintf "%.4f" r_hat;
-              Adversary.Feature.name s.feature;
-              Printf.sprintf "%.3f" s.empirical;
-              Printf.sprintf "%.3f" s.theory;
-            ])
-        scores)
-    rows;
-  List.iter
-    (fun (key, status) -> Table.add_row ~status table [ key; "-"; "-"; "-"; "-" ])
-    placeholders;
-  Table.print table fmt
+(* The scored-ablation layout: one row per feature, keyed by the point. *)
+let scored_columns key_col = key_col :: "r_hat" :: Workload.columns ~ci:false
 
-(* Annotated placeholder entries for the non-ok cells of a sweep, keyed
-   like the ok rows so degraded tables stay readable. *)
-let placeholders_of keys cells =
-  List.filter_map
-    (fun (key, (c : _ Sweep.cell)) ->
-      if c.Sweep.status = Sweep.Point_ok then None
-      else Some (key, Sweep.row_status c))
-    (List.combine keys cells)
+let scored_rows (key, r_hat, scores) =
+  List.map
+    (fun s -> key :: Printf.sprintf "%.4f" r_hat :: Workload.cells ~ci:false s)
+    scores
 
 let run_jitter_models ?(scale = 1.0) ?(seed = 51_001) fmt =
   let n = 1000 in
@@ -66,53 +41,46 @@ let run_jitter_models ?(scale = 1.0) ?(seed = 51_001) fmt =
           Padding.Jitter.parametric ~mu:3e-6 ~sigma:(sigma_piat /. sqrt 2.0) );
     ]
   in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.jitter|seed=%d|n=%d|piats=%d|points=%s" seed n
-         piats
-         (String.concat "," (List.map fst models)))
-  in
-  let cells =
-    Sweep.mapi ~sweep:"ablations.jitter" ~digest ~seed
-      ~task:(fun ~attempt _i (name, jitter_of_rate) ->
-        let root = Sweep.attempt_seed ~seed ~attempt in
-        (* Parametric jitter depends on the class, so run the two classes
-           with their own jitter instances. *)
-        let base rate seed =
-          {
-            System.default_config with
-            System.seed = seed;
-            payload_rate_pps = rate;
-            jitter = jitter_of_rate rate;
-          }
-        in
-        let low, high =
-          Exec.Pool.both
-            (fun () -> System.run (base Calibration.rate_low_pps root) ~piats)
-            (fun () ->
-              System.run (base Calibration.rate_high_pps (root + 7919)) ~piats)
-        in
-        let var_low = Stats.Descriptive.variance low.System.piats in
-        let var_high = Stats.Descriptive.variance high.System.piats in
-        let traces =
-          {
-            Workload.low;
-            high;
-            var_low;
-            var_high;
-            r_hat = Float.max (var_high /. var_low) 1.0;
-          }
-        in
-        (name, traces.Workload.r_hat, Workload.score traces ~features ~sample_size:n))
-      models
-  in
-  let rows = Sweep.ok_values cells in
-  print_scored_table fmt
+  Sweep.tabulate ~sweep:"ablations.jitter" ~seed
+    ~params:
+      [
+        ("n", string_of_int n);
+        ("piats", string_of_int piats);
+        ("points", String.concat "," (List.map fst models));
+      ]
+    ~task:(fun ~attempt _i (name, jitter_of_rate) ->
+      let root = Sweep.attempt_seed ~seed ~attempt in
+      (* Parametric jitter depends on the class, so run the two classes
+         with their own jitter instances. *)
+      let base rate seed =
+        {
+          System.default_config with
+          System.seed = seed;
+          payload_rate_pps = rate;
+          jitter = jitter_of_rate rate;
+        }
+      in
+      let low, high =
+        Exec.Pool.both
+          (fun () -> System.run (base Calibration.rate_low_pps root) ~piats)
+          (fun () ->
+            System.run (base Calibration.rate_high_pps (root + 7919)) ~piats)
+      in
+      let var_low = Stats.Descriptive.variance low.System.piats in
+      let var_high = Stats.Descriptive.variance high.System.piats in
+      let traces =
+        {
+          Workload.low;
+          high;
+          var_low;
+          var_high;
+          r_hat = Float.max (var_high /. var_low) 1.0;
+        }
+      in
+      (name, traces.Workload.r_hat, Workload.score traces ~features ~sample_size:n))
     ~title:"Ablation: mechanistic vs parametric gateway jitter (n=1000)"
-    ~key_col:"model"
-    ~placeholders:(placeholders_of (List.map fst models) cells)
-    rows;
-  rows
+    ~columns:(scored_columns "model") ~rows:scored_rows fmt
+    (List.map (fun ((name, _) as m) -> (name, m)) models)
 
 let run_vit_laws ?(scale = 1.0) ?(seed = 51_002) fmt =
   let n = 2000 in
@@ -133,45 +101,33 @@ let run_vit_laws ?(scale = 1.0) ?(seed = 51_002) fmt =
       ("exp(mean=tau)", Padding.Timer.Exponential { mean = tau });
     ]
   in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.vit_laws|seed=%d|n=%d|w=%d|sigma=%h|points=%s"
-         seed n windows sigma_t
-         (String.concat "," (List.map fst laws)))
-  in
-  let cells =
-    Sweep.mapi ~sweep:"ablations.vit_laws" ~digest ~seed
-      ~task:(fun ~attempt i (name, timer) ->
-        let traces =
-          collect
-            ~seed:(Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt)
-            ~timer ~jitter:Calibration.default_jitter ~hops:[||]
-            ~tap_position:0 ~piats:(n * windows)
-        in
-        (name, traces.Workload.r_hat, Workload.score traces ~features ~sample_size:n))
-      laws
-  in
-  let rows = Sweep.ok_values cells in
-  print_scored_table fmt
+  Sweep.tabulate ~sweep:"ablations.vit_laws" ~seed
+    ~params:
+      [
+        ("n", string_of_int n);
+        ("w", string_of_int windows);
+        ("sigma", Printf.sprintf "%h" sigma_t);
+        ("points", String.concat "," (List.map fst laws));
+      ]
+    ~task:(fun ~attempt i (name, timer) ->
+      let traces =
+        collect
+          ~seed:(Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt)
+          ~timer ~jitter:Calibration.default_jitter ~hops:[||]
+          ~tap_position:0 ~piats:(n * windows)
+      in
+      (name, traces.Workload.r_hat, Workload.score traces ~features ~sample_size:n))
     ~title:
       (Printf.sprintf
          "Ablation: VIT interval law shape (sigma_T=%.0fus for normal/uniform; n=%d)"
          (sigma_t *. 1e6) n)
-    ~key_col:"law"
-    ~placeholders:(placeholders_of (List.map fst laws) cells)
-    rows;
-  rows
+    ~columns:(scored_columns "law") ~rows:scored_rows fmt
+    (List.map (fun ((name, _) as l) -> (name, l)) laws)
 
 let run_entropy_bins ?(scale = 1.0) ?(seed = 51_003) fmt =
   let n = 1000 in
   let windows = Stdlib.max 8 (int_of_float (40.0 *. scale)) in
   let widths = [ 0.25e-6; 0.5e-6; 1e-6; 2e-6; 4e-6 ] in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.entropy_bins|seed=%d|n=%d|w=%d|points=%s" seed
-         n windows
-         (String.concat "," (List.map (Printf.sprintf "%h") widths)))
-  in
   (* One shared trace collection (skipped on a full journal replay);
      scoring is pure — the widths can be evaluated concurrently. *)
   let traces_ref = ref None in
@@ -182,48 +138,40 @@ let run_entropy_bins ?(scale = 1.0) ?(seed = 51_003) fmt =
            ~jitter:Calibration.default_jitter ~hops:[||] ~tap_position:0
            ~piats:(n * windows))
   in
-  let cells =
-    Sweep.mapi ~sweep:"ablations.entropy_bins" ~digest ~seed ~prepare
-      ~task:(fun ~attempt:_ _i bin_width ->
-        let traces =
-          match !traces_ref with
-          | Some t -> t
-          | None ->
-              raise
-                (Sweep.Sweep_internal_error
-                   "entropy-bins: prepare did not collect traces")
-        in
-        let scores =
-          Workload.score traces
-            ~features:[ Adversary.Feature.Sample_entropy { bin_width } ]
-            ~sample_size:n
-        in
-        match scores with
-        | [ s ] -> (bin_width, s.Workload.empirical)
-        | _ ->
+  let width_cell w = Printf.sprintf "%.2f" (w *. 1e6) in
+  Sweep.tabulate ~sweep:"ablations.entropy_bins" ~seed
+    ~params:
+      [
+        ("n", string_of_int n);
+        ("w", string_of_int windows);
+        ("points", String.concat "," (List.map (Printf.sprintf "%h") widths));
+      ]
+    ~prepare
+    ~task:(fun ~attempt:_ _i bin_width ->
+      let traces =
+        match !traces_ref with
+        | Some t -> t
+        | None ->
             raise
               (Sweep.Sweep_internal_error
-                 "entropy-bins: expected exactly one score per width"))
-      widths
-  in
-  let rows = Sweep.ok_values cells in
-  let table =
-    Table.create ~title:"Ablation: entropy-estimator bin width (CIT, n=1000)"
-      ~columns:[ "bin width (us)"; "empirical detection" ]
-  in
-  List.iter
-    (fun (w, v) ->
-      Table.add_row table
-        [ Printf.sprintf "%.2f" (w *. 1e6); Printf.sprintf "%.3f" v ])
-    rows;
-  List.iter2
-    (fun w (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table
-          [ Printf.sprintf "%.2f" (w *. 1e6); "-" ])
-    widths cells;
-  Table.print table fmt;
-  rows
+                 "entropy-bins: prepare did not collect traces")
+      in
+      let scores =
+        Workload.score traces
+          ~features:[ Adversary.Feature.Sample_entropy { bin_width } ]
+          ~sample_size:n
+      in
+      match scores with
+      | [ s ] -> (bin_width, s.Workload.empirical)
+      | _ ->
+          raise
+            (Sweep.Sweep_internal_error
+               "entropy-bins: expected exactly one score per width"))
+    ~title:"Ablation: entropy-estimator bin width (CIT, n=1000)"
+    ~columns:[ "bin width (us)"; "empirical detection" ]
+    ~rows:(fun (w, v) -> [ [ width_cell w; Printf.sprintf "%.3f" v ] ])
+    fmt
+    (List.map (fun w -> (width_cell w, w)) widths)
 
 let run_tap_positions ?(scale = 1.0) ?(seed = 51_004) fmt =
   let n = 1000 in
@@ -234,100 +182,79 @@ let run_tap_positions ?(scale = 1.0) ?(seed = 51_004) fmt =
         Fig6.hop_for_utilization ~utilization ~burst:`Poisson)
   in
   let positions = [ 0; 1; 2; 3 ] in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.tap_positions|seed=%d|n=%d|w=%d|util=%h|points=%s"
-         seed n windows utilization
-         (String.concat "," (List.map string_of_int positions)))
-  in
-  let cells =
-    Sweep.mapi ~sweep:"ablations.tap_positions" ~digest ~seed
-      ~task:(fun ~attempt _i tap_position ->
-        let traces =
-          collect
-            ~seed:
-              (Sweep.attempt_seed ~seed:(seed + (100 * tap_position)) ~attempt)
-            ~timer:(Padding.Timer.Constant Calibration.timer_mean)
-            ~jitter:Calibration.default_jitter ~hops ~tap_position
-            ~piats:(n * windows)
-        in
-        ( tap_position,
-          traces.Workload.r_hat,
-          Workload.score traces ~features ~sample_size:n ))
-      positions
-  in
-  let rows = Sweep.ok_values cells in
-  print_scored_table fmt
+  Sweep.tabulate ~sweep:"ablations.tap_positions" ~seed
+    ~params:
+      [
+        ("n", string_of_int n);
+        ("w", string_of_int windows);
+        ("util", Printf.sprintf "%h" utilization);
+        ("points", String.concat "," (List.map string_of_int positions));
+      ]
+    ~task:(fun ~attempt _i tap_position ->
+      let traces =
+        collect
+          ~seed:
+            (Sweep.attempt_seed ~seed:(seed + (100 * tap_position)) ~attempt)
+          ~timer:(Padding.Timer.Constant Calibration.timer_mean)
+          ~jitter:Calibration.default_jitter ~hops ~tap_position
+          ~piats:(n * windows)
+      in
+      ( tap_position,
+        traces.Workload.r_hat,
+        Workload.score traces ~features ~sample_size:n ))
     ~title:
       (Printf.sprintf
          "Ablation: adversary position along a 3-router path (util %.2f, n=%d)"
          utilization n)
-    ~key_col:"tap hop"
-    ~placeholders:(placeholders_of (List.map string_of_int positions) cells)
-    (List.map (fun (p, r, s) -> (string_of_int p, r, s)) rows);
-  rows
+    ~columns:(scored_columns "tap hop")
+    ~rows:(fun (p, r, s) -> scored_rows (string_of_int p, r, s))
+    fmt
+    (List.map (fun p -> (string_of_int p, p)) positions)
 
 let run_oracle_vs_kde ?(scale = 1.0) ?(seed = 51_005) fmt =
   let n = 200 in
   let windows = Stdlib.max 12 (int_of_float (80.0 *. scale)) in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.oracle_vs_kde|seed=%d|n=%d|w=%d" seed n windows)
-  in
   (* A single (but expensive) point: routing it through the sweep runner
      gives it the same checkpoint/containment story as the fan-outs. *)
-  let cells =
-    Sweep.mapi ~sweep:"ablations.oracle_vs_kde" ~digest ~seed
-      ~task:(fun ~attempt _i () ->
-        let traces =
-          collect
-            ~seed:(Sweep.attempt_seed ~seed ~attempt)
-            ~timer:(Padding.Timer.Constant Calibration.timer_mean)
-            ~jitter:Calibration.default_jitter ~hops:[||] ~tap_position:0
-            ~piats:(n * windows)
-        in
-        let sigma2_l = traces.Workload.var_low
-        and sigma2_h = traces.Workload.var_high in
-        let scores = Workload.score traces ~features ~sample_size:n in
-        let oracle = function
-          | Adversary.Feature.Sample_mean ->
-              Analytical.Bayes_numeric.sample_mean_exact
-                ~sigma_l:(sqrt sigma2_l) ~sigma_h:(sqrt sigma2_h)
-          | Adversary.Feature.Sample_variance ->
-              Analytical.Bayes_numeric.sample_variance_exact ~sigma2_l
-                ~sigma2_h ~n
-          | Adversary.Feature.Sample_entropy _ ->
-              Analytical.Bayes_numeric.sample_entropy_normal_approx ~sigma2_l
-                ~sigma2_h ~n
-        in
-        List.map
-          (fun (s : Workload.scored) ->
-            (Adversary.Feature.name s.feature, s.empirical, oracle s.feature))
-          scores)
-      [ () ]
-  in
-  let rows = List.concat (Sweep.ok_values cells) in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Ablation: KDE-Bayes adversary vs exact distributional oracle (n=%d)"
-           n)
-      ~columns:[ "feature"; "empirical (KDE)"; "oracle (exact law)" ]
-  in
-  List.iter
-    (fun (name, emp, orc) ->
-      Table.add_row table
-        [ name; Printf.sprintf "%.3f" emp; Printf.sprintf "%.3f" orc ])
-    rows;
-  List.iter
-    (fun (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table
-          [ "all features"; "-"; "-" ])
-    cells;
-  Table.print table fmt;
-  rows
+  Sweep.tabulate ~sweep:"ablations.oracle_vs_kde" ~seed
+    ~params:[ ("n", string_of_int n); ("w", string_of_int windows) ]
+    ~task:(fun ~attempt _i () ->
+      let traces =
+        collect
+          ~seed:(Sweep.attempt_seed ~seed ~attempt)
+          ~timer:(Padding.Timer.Constant Calibration.timer_mean)
+          ~jitter:Calibration.default_jitter ~hops:[||] ~tap_position:0
+          ~piats:(n * windows)
+      in
+      let sigma2_l = traces.Workload.var_low
+      and sigma2_h = traces.Workload.var_high in
+      let scores = Workload.score traces ~features ~sample_size:n in
+      let oracle = function
+        | Adversary.Feature.Sample_mean ->
+            Analytical.Bayes_numeric.sample_mean_exact
+              ~sigma_l:(sqrt sigma2_l) ~sigma_h:(sqrt sigma2_h)
+        | Adversary.Feature.Sample_variance ->
+            Analytical.Bayes_numeric.sample_variance_exact ~sigma2_l
+              ~sigma2_h ~n
+        | Adversary.Feature.Sample_entropy _ ->
+            Analytical.Bayes_numeric.sample_entropy_normal_approx ~sigma2_l
+              ~sigma2_h ~n
+      in
+      List.map
+        (fun (s : Workload.scored) ->
+          (Adversary.Feature.name s.feature, s.empirical, oracle s.feature))
+        scores)
+    ~title:
+      (Printf.sprintf
+         "Ablation: KDE-Bayes adversary vs exact distributional oracle (n=%d)"
+         n)
+    ~columns:[ "feature"; "empirical (KDE)"; "oracle (exact law)" ]
+    ~rows:
+      (List.map (fun (name, emp, orc) ->
+           [ name; Printf.sprintf "%.3f" emp; Printf.sprintf "%.3f" orc ]))
+    fmt
+    [ ("all features", ()) ]
+  |> List.concat
 
 let run_adaptive_vs_cit ?(scale = 1.0) ?(seed = 51_006) fmt =
   let n = 500 in
@@ -343,71 +270,56 @@ let run_adaptive_vs_cit ?(scale = 1.0) ?(seed = 51_006) fmt =
       ("adaptive", `Adaptive);
     ]
   in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.adaptive|seed=%d|n=%d|piats=%d|points=%s" seed
-         n piats
-         (String.concat "," (List.map fst schemes)))
-  in
-  let cells =
-    Sweep.mapi ~sweep:"ablations.adaptive" ~digest ~seed
-      ~task:(fun ~attempt i (name, scheme) ->
-        let root = Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt in
-        let run_scheme rate seed =
-          let cfg =
-            {
-              System.default_config with
-              System.seed = seed;
-              payload_rate_pps = rate;
-            }
-          in
-          match scheme with
-          | `Timer timer -> System.run { cfg with System.timer } ~piats
-          | `Adaptive -> System.run_adaptive cfg ~piats
+  Sweep.tabulate ~sweep:"ablations.adaptive" ~seed
+    ~params:
+      [
+        ("n", string_of_int n);
+        ("piats", string_of_int piats);
+        ("points", String.concat "," (List.map fst schemes));
+      ]
+    ~task:(fun ~attempt i (name, scheme) ->
+      let root = Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt in
+      let run_scheme rate seed =
+        let cfg =
+          {
+            System.default_config with
+            System.seed = seed;
+            payload_rate_pps = rate;
+          }
         in
-        let low, high =
-          Exec.Pool.both
-            (fun () -> run_scheme Calibration.rate_low_pps root)
-            (fun () -> run_scheme Calibration.rate_high_pps (root + 7919))
-        in
-        ignore (low.System.sim_time, high.System.sim_time);
-        let classes =
-          [|
-            (Calibration.label_low, low.System.piats);
-            (Calibration.label_high, high.System.piats);
-          |]
-        in
-        let results =
-          Adversary.Detection.estimate_features ~features
-            ~reference:Calibration.timer_mean ~sample_size:n ~classes ()
-        in
-        let worst =
-          List.fold_left
-            (fun acc (r : Adversary.Detection.result) ->
-              Float.max acc r.Adversary.Detection.detection_rate)
-            0.5 results
-        in
-        let overhead =
-          0.5 *. (low.System.overhead +. high.System.overhead)
-        in
-        (name, worst, overhead))
-      schemes
-  in
-  let rows = Sweep.ok_values cells in
-  let table =
-    Table.create
-      ~title:"Ablation: padding scheme vs detectability and bandwidth cost (n=500)"
-      ~columns:[ "scheme"; "worst-feature detection"; "dummy overhead" ]
-  in
-  List.iter
-    (fun (name, worst, overhead) ->
-      Table.add_row table
-        [ name; Printf.sprintf "%.3f" worst; Printf.sprintf "%.3f" overhead ])
-    rows;
-  List.iter2
-    (fun (name, _) (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table [ name; "-"; "-" ])
-    schemes cells;
-  Table.print table fmt;
-  rows
+        match scheme with
+        | `Timer timer -> System.run { cfg with System.timer } ~piats
+        | `Adaptive -> System.run_adaptive cfg ~piats
+      in
+      let low, high =
+        Exec.Pool.both
+          (fun () -> run_scheme Calibration.rate_low_pps root)
+          (fun () -> run_scheme Calibration.rate_high_pps (root + 7919))
+      in
+      ignore (low.System.sim_time, high.System.sim_time);
+      let classes =
+        [|
+          (Calibration.label_low, low.System.piats);
+          (Calibration.label_high, high.System.piats);
+        |]
+      in
+      let results =
+        Adversary.Detection.estimate_features ~features
+          ~reference:Calibration.timer_mean ~sample_size:n ~classes ()
+      in
+      let worst =
+        List.fold_left
+          (fun acc (r : Adversary.Detection.result) ->
+            Float.max acc r.Adversary.Detection.detection_rate)
+          0.5 results
+      in
+      let overhead =
+        0.5 *. (low.System.overhead +. high.System.overhead)
+      in
+      (name, worst, overhead))
+    ~title:"Ablation: padding scheme vs detectability and bandwidth cost (n=500)"
+    ~columns:[ "scheme"; "worst-feature detection"; "dummy overhead" ]
+    ~rows:(fun (name, worst, overhead) ->
+      [ [ name; Printf.sprintf "%.3f" worst; Printf.sprintf "%.3f" overhead ] ])
+    fmt
+    (List.map (fun ((name, _) as s) -> (name, s)) schemes)

@@ -60,14 +60,15 @@ let run_classifier_backends ?(scale = 1.0) ?(seed = 52_001) fmt =
       ("spectral power", fun () -> spectral Adversary.Spectral.Spectral_power);
     ]
   in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.backends|seed=%d|n=%d|w=%d|points=%s" seed n
-         windows
-         (String.concat "," (List.map fst backends)))
-  in
   let cells =
-    Sweep.mapi ~sweep:"ablations.backends" ~digest ~seed ~prepare
+    Sweep.run ~sweep:"ablations.backends" ~seed
+      ~params:
+        [
+          ("n", string_of_int n);
+          ("w", string_of_int windows);
+          ("points", String.concat "," (List.map fst backends));
+        ]
+      ~prepare
       ~task:(fun ~attempt:_ _i (name, score) ->
         (name, score (), (get_traces ()).Workload.r_hat))
       backends
@@ -75,26 +76,17 @@ let run_classifier_backends ?(scale = 1.0) ?(seed = 52_001) fmt =
   let r_hat =
     match Sweep.ok_values cells with (_, _, r) :: _ -> r | [] -> Float.nan
   in
-  let rows = List.map (fun (name, v, _) -> (name, v)) (Sweep.ok_values cells) in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Ablation: adversary backends on the same CIT traces (n=%d, \
-            r_hat=%.3f)"
-           n r_hat)
-      ~columns:[ "adversary"; "detection rate" ]
-  in
-  List.iter
-    (fun (name, v) -> Table.add_row table [ name; Printf.sprintf "%.3f" v ])
-    rows;
-  List.iter2
-    (fun (name, _) (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table [ name; "-" ])
-    backends cells;
-  Table.print table fmt;
-  rows
+  Table.emit fmt
+    (Sweep.table
+       ~title:
+         (Printf.sprintf
+            "Ablation: adversary backends on the same CIT traces (n=%d, \
+             r_hat=%.3f)"
+            n r_hat)
+       ~columns:[ "adversary"; "detection rate" ]
+       ~rows:(fun (name, v, _) -> [ [ name; Printf.sprintf "%.3f" v ] ])
+       ~labels:(List.map fst backends) cells);
+  List.map (fun (name, v, _) -> (name, v)) (Sweep.ok_values cells)
 
 let run_mix_vs_padding ?(scale = 1.0) ?(seed = 52_002) fmt =
   let n = 200 in
@@ -107,80 +99,65 @@ let run_mix_vs_padding ?(scale = 1.0) ?(seed = 52_002) fmt =
       ("mix(K=8,500ms)", `Mix);
     ]
   in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.mix|seed=%d|n=%d|piats=%d|points=%s" seed n
-         piats
-         (String.concat "," (List.map fst schemes)))
-  in
-  let cells =
-    Sweep.mapi ~sweep:"ablations.mix" ~digest ~seed
-      ~task:(fun ~attempt i (name, scheme) ->
-        let root = Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt in
-        let run rate seed =
-          let cfg =
-            {
-              System.default_config with
-              System.seed = seed;
-              payload_rate_pps = rate;
-            }
-          in
-          match scheme with
-          | `Cit -> System.run cfg ~piats
-          | `Vit sigma ->
-              System.run
-                {
-                  cfg with
-                  System.timer =
-                    Padding.Timer.Normal
-                      { mean = Calibration.timer_mean; sigma };
-                }
-                ~piats
-          | `Mix -> System.run_mix cfg ~piats
+  Sweep.tabulate ~sweep:"ablations.mix" ~seed
+    ~params:
+      [
+        ("n", string_of_int n);
+        ("piats", string_of_int piats);
+        ("points", String.concat "," (List.map fst schemes));
+      ]
+    ~task:(fun ~attempt i (name, scheme) ->
+      let root = Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt in
+      let run rate seed =
+        let cfg =
+          {
+            System.default_config with
+            System.seed = seed;
+            payload_rate_pps = rate;
+          }
         in
-        let low, high =
-          Exec.Pool.both
-            (fun () -> run Calibration.rate_low_pps root)
-            (fun () -> run Calibration.rate_high_pps (root + 7919))
-        in
-        let classes =
-          [|
-            (Calibration.label_low, low.System.piats);
-            (Calibration.label_high, high.System.piats);
-          |]
-        in
-        let results =
-          Adversary.Detection.estimate_features
-            ~features:Adversary.Feature.standard_set
-            ~reference:Calibration.timer_mean ~sample_size:n ~classes ()
-        in
-        let worst =
-          List.fold_left
-            (fun acc (r : Adversary.Detection.result) ->
-              Float.max acc r.Adversary.Detection.detection_rate)
-            0.5 results
-        in
-        (name, worst, 0.5 *. (low.System.overhead +. high.System.overhead)))
-      schemes
-  in
-  let rows = Sweep.ok_values cells in
-  let table =
-    Table.create
-      ~title:"Ablation: mixing vs padding as rate-hiding (n=200)"
-      ~columns:[ "scheme"; "worst-feature detection"; "dummy overhead" ]
-  in
-  List.iter
-    (fun (name, worst, overhead) ->
-      Table.add_row table
-        [ name; Printf.sprintf "%.3f" worst; Printf.sprintf "%.3f" overhead ])
-    rows;
-  List.iter2
-    (fun (name, _) (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table [ name; "-"; "-" ])
-    schemes cells;
-  Table.print table fmt;
-  rows
+        match scheme with
+        | `Cit -> System.run cfg ~piats
+        | `Vit sigma ->
+            System.run
+              {
+                cfg with
+                System.timer =
+                  Padding.Timer.Normal
+                    { mean = Calibration.timer_mean; sigma };
+              }
+              ~piats
+        | `Mix -> System.run_mix cfg ~piats
+      in
+      let low, high =
+        Exec.Pool.both
+          (fun () -> run Calibration.rate_low_pps root)
+          (fun () -> run Calibration.rate_high_pps (root + 7919))
+      in
+      let classes =
+        [|
+          (Calibration.label_low, low.System.piats);
+          (Calibration.label_high, high.System.piats);
+        |]
+      in
+      let results =
+        Adversary.Detection.estimate_features
+          ~features:Adversary.Feature.standard_set
+          ~reference:Calibration.timer_mean ~sample_size:n ~classes ()
+      in
+      let worst =
+        List.fold_left
+          (fun acc (r : Adversary.Detection.result) ->
+            Float.max acc r.Adversary.Detection.detection_rate)
+          0.5 results
+      in
+      (name, worst, 0.5 *. (low.System.overhead +. high.System.overhead)))
+    ~title:"Ablation: mixing vs padding as rate-hiding (n=200)"
+    ~columns:[ "scheme"; "worst-feature detection"; "dummy overhead" ]
+    ~rows:(fun (name, worst, overhead) ->
+      [ [ name; Printf.sprintf "%.3f" worst; Printf.sprintf "%.3f" overhead ] ])
+    fmt
+    (List.map (fun ((name, _) as s) -> (name, s)) schemes)
 
 let run_bounds_table fmt =
   let table =
@@ -215,7 +192,7 @@ let run_bounds_table fmt =
             ])
         [ 30; 100; 300; 1000 ])
     [ 1.2; 1.5; 2.0; 3.0 ];
-  Table.print table fmt
+  Table.emit fmt table
 
 let run_roc ?(scale = 1.0) ?(seed = 52_005) fmt =
   let windows = Stdlib.max 20 (int_of_float (60.0 *. scale)) in
@@ -256,7 +233,7 @@ let run_roc ?(scale = 1.0) ?(seed = 52_005) fmt =
           Printf.sprintf "%.3f" best;
         ])
     rows;
-  Table.print table fmt;
+  Table.emit fmt table;
   rows
 
 let run_size_padding ?(seed = 52_004) fmt =
@@ -321,54 +298,47 @@ let run_size_padding ?(seed = 52_004) fmt =
     (fun (config, feature, v) ->
       Table.add_row table [ config; feature; Printf.sprintf "%.3f" v ])
     rows;
-  Table.print table fmt;
+  Table.emit fmt table;
   rows
 
 let run_qos_table ?(seed = 52_003) fmt =
   let payload_rate = Calibration.rate_high_pps in
   let timer_rates = [ 50.0; 80.0; 100.0; 200.0; 400.0 ] in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.qos|seed=%d|pps=%h|points=%s" seed payload_rate
-         (String.concat "," (List.map (Printf.sprintf "%h") timer_rates)))
-  in
-  let cells =
-    Sweep.mapi ~sweep:"ablations.qos" ~digest ~seed
-      ~task:(fun ~attempt i timer_rate ->
-        let timer_mean = 1.0 /. timer_rate in
-        let analytic =
-          Padding.Qos.mean_delay ~payload_rate_pps:payload_rate ~timer_mean
-        in
-        let res =
-          System.run
-            {
-              System.default_config with
-              System.seed = Sweep.attempt_seed ~seed:(seed + i) ~attempt;
-              payload_rate_pps = payload_rate;
-              timer = Padding.Timer.Constant timer_mean;
-            }
-            ~piats:20_000
-        in
-        (timer_rate, analytic, res.System.mean_payload_latency))
-      timer_rates
-  in
-  let rows = Sweep.ok_values cells in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "QoS: payload delay vs timer rate (Poisson payload %.0f pps), \
-            analytic M/D/1 vs simulation"
-           payload_rate)
-      ~columns:
-        [ "timer (pps)"; "util"; "analytic delay (ms)"; "simulated (ms)";
-          "overhead" ]
-  in
-  List.iter
-    (fun (rate, analytic, simulated) ->
-      Table.add_row table
+  let rate_cell = Printf.sprintf "%.0f" in
+  Sweep.tabulate ~sweep:"ablations.qos" ~seed
+    ~params:
+      [
+        ("pps", Printf.sprintf "%h" payload_rate);
+        ("points", String.concat "," (List.map (Printf.sprintf "%h") timer_rates));
+      ]
+    ~task:(fun ~attempt i timer_rate ->
+      let timer_mean = 1.0 /. timer_rate in
+      let analytic =
+        Padding.Qos.mean_delay ~payload_rate_pps:payload_rate ~timer_mean
+      in
+      let res =
+        System.run
+          {
+            System.default_config with
+            System.seed = Sweep.attempt_seed ~seed:(seed + i) ~attempt;
+            payload_rate_pps = payload_rate;
+            timer = Padding.Timer.Constant timer_mean;
+          }
+          ~piats:20_000
+      in
+      (timer_rate, analytic, res.System.mean_payload_latency))
+    ~title:
+      (Printf.sprintf
+         "QoS: payload delay vs timer rate (Poisson payload %.0f pps), \
+          analytic M/D/1 vs simulation"
+         payload_rate)
+    ~columns:
+      [ "timer (pps)"; "util"; "analytic delay (ms)"; "simulated (ms)";
+        "overhead" ]
+    ~rows:(fun (rate, analytic, simulated) ->
+      [
         [
-          Printf.sprintf "%.0f" rate;
+          rate_cell rate;
           Printf.sprintf "%.2f"
             (Padding.Qos.utilization ~payload_rate_pps:payload_rate
                ~timer_mean:(1.0 /. rate));
@@ -377,13 +347,7 @@ let run_qos_table ?(seed = 52_003) fmt =
           Printf.sprintf "%.2f"
             (Padding.Qos.overhead ~payload_rate_pps:payload_rate
                ~timer_mean:(1.0 /. rate));
-        ])
-    rows;
-  List.iter2
-    (fun rate (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table
-          [ Printf.sprintf "%.0f" rate; "-"; "-"; "-"; "-" ])
-    timer_rates cells;
-  Table.print table fmt;
-  rows
+        ];
+      ])
+    fmt
+    (List.map (fun r -> (rate_cell r, r)) timer_rates)

@@ -299,62 +299,47 @@ let run ?(scale = 1.0) ?(seed = 47_000) ?csv_dir
     ?(intensities = default_intensities) fmt =
   let sample_size = Stdlib.max 100 (int_of_float (400.0 *. scale)) in
   let piats = 20 * sample_size in
-  let table =
-    Table.create
-      ~title:
-        "Degradation: detection and QoS vs fault intensity (gap-aware \
-         adversary folds the holes back out)"
-      ~columns:
-        [
-          "intensity"; "v_mean"; "v_var"; "v_entropy"; "v_gap"; "gap_frac";
-          "overhead"; "latency(ms)"; "delivered"; "drops(gw)"; "lost(wire)";
-          "lost(down)"; "crashes";
-        ]
-  in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "degradation|seed=%d|n=%d|piats=%d|points=%s" seed
-         sample_size piats
-         (String.concat "," (List.map (Printf.sprintf "%h") intensities)))
-  in
   (* Intensities are seeded by index, hence independent: evaluate them in
      parallel, then fill the table in sweep order.  Intensity 1.0 is a
      designed blackout — under supervision it lands as a [failed] row
      (tap starved) instead of aborting the whole sweep. *)
-  let cells =
-    Sweep.mapi ~sweep:"degradation" ~digest ~seed
-      ~task:(fun ~attempt i x ->
-        evaluate ~piats ~sample_size
-          ~seed:(Sweep.attempt_seed ~seed:(seed + i) ~attempt)
-          ~profile:(profile_of_intensity x) ~intensity:x ())
-      intensities
-  in
-  List.iter2
-    (fun x (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          Table.add_row table
-            [
-              Printf.sprintf "%.2f" p.intensity;
-              Table.fcell p.v_mean;
-              Table.fcell p.v_variance;
-              Table.fcell p.v_entropy;
-              Table.fcell p.v_gap;
-              Table.fcell p.gap_fraction;
-              Table.fcell p.overhead;
-              Printf.sprintf "%.3f" (p.mean_latency *. 1e3);
-              Table.fcell p.delivered_frac;
-              string_of_int p.dropped_gw;
-              string_of_int p.lost_wire;
-              string_of_int p.lost_down;
-              string_of_int p.crashes;
-            ]
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            (Printf.sprintf "%.2f" x :: List.init 12 (fun _ -> "-")))
-    intensities cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "degradation.csv")
-  | None -> ());
-  Sweep.ok_values cells
+  Sweep.tabulate ~sweep:"degradation" ~seed
+    ~params:
+      [
+        ("n", string_of_int sample_size);
+        ("piats", string_of_int piats);
+        ("points", String.concat "," (List.map (Printf.sprintf "%h") intensities));
+      ]
+    ~task:(fun ~attempt i x ->
+      evaluate ~piats ~sample_size
+        ~seed:(Sweep.attempt_seed ~seed:(seed + i) ~attempt)
+        ~profile:(profile_of_intensity x) ~intensity:x ())
+    ~title:
+      "Degradation: detection and QoS vs fault intensity (gap-aware \
+       adversary folds the holes back out)"
+    ~columns:
+      [
+        "intensity"; "v_mean"; "v_var"; "v_entropy"; "v_gap"; "gap_frac";
+        "overhead"; "latency(ms)"; "delivered"; "drops(gw)"; "lost(wire)";
+        "lost(down)"; "crashes";
+      ]
+    ~rows:(fun p ->
+      [
+        [
+          Printf.sprintf "%.2f" p.intensity;
+          Table.fcell p.v_mean;
+          Table.fcell p.v_variance;
+          Table.fcell p.v_entropy;
+          Table.fcell p.v_gap;
+          Table.fcell p.gap_fraction;
+          Table.fcell p.overhead;
+          Printf.sprintf "%.3f" (p.mean_latency *. 1e3);
+          Table.fcell p.delivered_frac;
+          string_of_int p.dropped_gw;
+          string_of_int p.lost_wire;
+          string_of_int p.lost_down;
+          string_of_int p.crashes;
+        ];
+      ])
+    ?csv_dir fmt
+    (List.map (fun x -> (Printf.sprintf "%.2f" x, x)) intensities)

@@ -70,6 +70,7 @@ let run ?(scale = 1.0) ?(seed = 42_001) ?csv_dir fmt =
         in
         (x, Stats.Kde.pdf kde_low x, Stats.Kde.pdf kde_high x))
   in
+  let csv file = Option.map (fun dir -> Filename.concat dir file) csv_dir in
   let stats_table =
     Table.create ~title:"Fig 4(a): PIAT statistics, CIT, zero cross traffic"
       ~columns:
@@ -89,7 +90,7 @@ let run ?(scale = 1.0) ?(seed = 42_001) ?csv_dir fmt =
           Printf.sprintf "%.3f" s.ks_normal_p;
         ])
     [ low; high ];
-  Table.print stats_table fmt;
+  Table.emit ?csv:(csv "fig4a_stats.csv") fmt stats_table;
   Format.fprintf fmt "variance ratio r_hat = %.4f (sigma_h/sigma_l = %.4f)@."
     traces.Workload.r_hat (sqrt traces.Workload.r_hat);
   let density_table =
@@ -106,8 +107,5 @@ let run ?(scale = 1.0) ?(seed = 42_001) ?csv_dir fmt =
           Printf.sprintf "%.4f" (dh /. 1e3);
         ])
     density_grid;
-  Table.print density_table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv density_table ~path:(Filename.concat dir "fig4a.csv")
-  | None -> ());
+  Table.emit ?csv:(csv "fig4a.csv") fmt density_table;
   { low; high; r_hat = traces.Workload.r_hat; density_grid }

@@ -27,5 +27,5 @@ type t = {
 
 val run : ?scale:float -> ?seed:int -> ?csv_dir:string -> Format.formatter -> t
 (** Default workload: 30 000 PIATs per class (scaled, floor 2 000).
-    Prints the statistics table and a coarse density table; optionally
-    writes [fig4a.csv]. *)
+    Prints the statistics table and a coarse density table; with
+    [csv_dir], writes them as [fig4a_stats.csv] and [fig4a.csv]. *)

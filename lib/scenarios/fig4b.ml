@@ -16,13 +16,14 @@ let run ?(scale = 1.0) ?(seed = 42_002) ?(sample_sizes = default_sample_sizes)
     | None -> { System.default_config with System.seed }
     | Some jitter -> { System.default_config with System.seed; jitter }
   in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "fig4b|seed=%d|w=%d|jitter=%s|points=%s" seed windows
-         (* [Jitter.t] is abstract; callers wiring a custom jitter into a
-            checkpointed run must use a distinct checkpoint directory. *)
-         (match jitter with None -> "default" | Some _ -> "custom")
-         (String.concat "," (List.map string_of_int sample_sizes)))
+  let params =
+    [
+      ("w", string_of_int windows);
+      (* [Jitter.t] is abstract; callers wiring a custom jitter into a
+         checkpointed run must use a distinct checkpoint directory. *)
+      ("jitter", match jitter with None -> "default" | Some _ -> "custom");
+      ("points", String.concat "," (List.map string_of_int sample_sizes));
+    ]
   in
   (* The trace pair is shared by every sample size: collect it once in
      [prepare], which the runner skips when all points replay from the
@@ -38,7 +39,7 @@ let run ?(scale = 1.0) ?(seed = 42_002) ?(sample_sizes = default_sample_sizes)
   in
   let cells =
     Obs.span "fig4b.score" (fun () ->
-        Sweep.mapi ~sweep:"fig4b" ~digest ~seed ~prepare
+        Sweep.run ~sweep:"fig4b" ~seed ~params ~prepare
           ~task:(fun ~attempt:_ _i n ->
             match !traces_ref with
             | None ->
@@ -54,36 +55,21 @@ let run ?(scale = 1.0) ?(seed = 42_002) ?(sample_sizes = default_sample_sizes)
   let r_hat =
     match Sweep.ok_values cells with (r, _) :: _ -> r | [] -> Float.nan
   in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fig 4(b): detection rate vs sample size (CIT, no cross traffic, \
-            r_hat=%.3f)"
-           r_hat)
-      ~columns:[ "n"; "feature"; "empirical"; "95% CI"; "theory" ]
-  in
-  List.iter2
-    (fun n (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some (_, scores) ->
-          List.iter
-            (fun (s : Workload.scored) ->
-              Table.add_row table
-                [
-                  string_of_int s.sample_size;
-                  Adversary.Feature.name s.feature;
-                  Printf.sprintf "%.3f" s.empirical;
-                  Workload.pp_ci s;
-                  Printf.sprintf "%.3f" s.theory;
-                ])
-            scores
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            [ string_of_int n; "-"; "-"; "-"; "-" ])
-    sample_sizes cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fig4b.csv")
-  | None -> ());
+  Table.emit
+    ?csv:(Option.map (fun dir -> Filename.concat dir "fig4b.csv") csv_dir)
+    fmt
+    (Sweep.table
+       ~title:
+         (Printf.sprintf
+            "Fig 4(b): detection rate vs sample size (CIT, no cross traffic, \
+             r_hat=%.3f)"
+            r_hat)
+       ~columns:("n" :: Workload.columns ~ci:true)
+       ~rows:(fun (_, scores) ->
+         List.map
+           (fun (s : Workload.scored) ->
+             string_of_int s.sample_size :: Workload.cells ~ci:true s)
+           scores)
+       ~labels:(List.map string_of_int sample_sizes)
+       cells);
   { r_hat; rows = List.concat_map snd (Sweep.ok_values cells) }

@@ -42,16 +42,18 @@ let run ?(scale = 1.0) ?(seed = 42_003) ?(sample_size = 2000)
     in
     Printf.sprintf "%s:%h:%h" tag (Padding.Timer.mean l) (Padding.Timer.sigma l)
   in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "fig5a|seed=%d|n=%d|w=%d|points=%s" seed sample_size
-         windows
-         (String.concat ","
-            (List.map (fun s -> Printf.sprintf "%h=%s" s (law_tag s)) sigma_ts)))
-  in
   (* Sweep points are seeded by index, hence independent: fan them out. *)
-  let cells =
-    Sweep.mapi ~sweep:"fig5a" ~digest ~seed
+  let points =
+    Sweep.tabulate ~sweep:"fig5a" ~seed
+      ~params:
+        [
+          ("n", string_of_int sample_size);
+          ("w", string_of_int windows);
+          ( "points",
+            String.concat ","
+              (List.map (fun s -> Printf.sprintf "%h=%s" s (law_tag s)) sigma_ts)
+          );
+        ]
       ~task:(fun ~attempt i sigma_t ->
         let base =
           {
@@ -70,41 +72,21 @@ let run ?(scale = 1.0) ?(seed = 42_003) ?(sample_size = 2000)
           r_predicted = predicted sigma_t;
           scores = Workload.score traces ~features ~sample_size;
         })
-      sigma_ts
-  in
-  let table =
-    Table.create
       ~title:
         (Printf.sprintf
            "Fig 5(a): VIT padding, detection rate vs sigma_T (sample size \
             %d)"
            sample_size)
-      ~columns:
-        [ "sigma_T(us)"; "r_hat"; "r_pred"; "feature"; "empirical"; "95% CI"; "theory" ]
+      ~columns:([ "sigma_T(us)"; "r_hat"; "r_pred" ] @ Workload.columns ~ci:true)
+      ~rows:(fun p ->
+        List.map
+          (fun s ->
+            Printf.sprintf "%.1f" (p.sigma_t *. 1e6)
+            :: Printf.sprintf "%.4f" p.r_hat
+            :: Printf.sprintf "%.4f" p.r_predicted
+            :: Workload.cells ~ci:true s)
+          p.scores)
+      ?csv_dir fmt
+      (List.map (fun s -> (Printf.sprintf "%.1f" (s *. 1e6), s)) sigma_ts)
   in
-  List.iter2
-    (fun sigma_t (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          List.iter
-            (fun (s : Workload.scored) ->
-              Table.add_row table
-                [
-                  Printf.sprintf "%.1f" (p.sigma_t *. 1e6);
-                  Printf.sprintf "%.4f" p.r_hat;
-                  Printf.sprintf "%.4f" p.r_predicted;
-                  Adversary.Feature.name s.feature;
-                  Printf.sprintf "%.3f" s.empirical;
-                  Workload.pp_ci s;
-                  Printf.sprintf "%.3f" s.theory;
-                ])
-            p.scores
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            [ Printf.sprintf "%.1f" (sigma_t *. 1e6); "-"; "-"; "-"; "-"; "-"; "-" ])
-    sigma_ts cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fig5a.csv")
-  | None -> ());
-  { sample_size; calibration; points = Sweep.ok_values cells }
+  { sample_size; calibration; points }

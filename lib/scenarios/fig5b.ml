@@ -58,8 +58,7 @@ let run ?(seed = 42_004) ?(target = 0.99) ?(sigma_ts = default_sigma_ts)
           Printf.sprintf "%.3e" p.n_entropy;
         ])
     points;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fig5b.csv")
-  | None -> ());
+  Table.emit
+    ?csv:(Option.map (fun dir -> Filename.concat dir "fig5b.csv") csv_dir)
+    fmt table;
   { target; calibration; points }

@@ -42,25 +42,29 @@ let run ?(scale = 1.0) ?(seed = 42_005) ?(sample_size = 1000)
   let plan =
     Workload.window_plan ~sample_size ~max_windows:windows ?half_width ()
   in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf
-         "fig6|seed=%d|n=%d|w=%d|stride=%d|wps=%d|minw=%d|hw=%s|burst=%s|points=%s"
-         seed sample_size windows plan.Workload.stride
-         plan.Workload.windows_per_shard plan.Workload.min_windows
-         (match plan.Workload.half_width with
-         | None -> "-"
-         | Some h -> Printf.sprintf "%h" h)
-         (match burst with
-         | `Poisson -> "poisson"
-         | `On_off (a, b, c) ->
-             Printf.sprintf "onoff:%h:%h:%s" a b
-               (match c with None -> "-" | Some x -> Printf.sprintf "%h" x))
-         (String.concat "," (List.map (Printf.sprintf "%h") utilizations)))
-  in
   (* Sweep points are seeded by index, hence independent: fan them out. *)
-  let cells =
-    Sweep.mapi ~sweep:"fig6" ~digest ~seed
+  let points =
+    Sweep.tabulate ~sweep:"fig6" ~seed
+      ~params:
+        [
+          ("n", string_of_int sample_size);
+          ("w", string_of_int windows);
+          ("stride", string_of_int plan.Workload.stride);
+          ("wps", string_of_int plan.Workload.windows_per_shard);
+          ("minw", string_of_int plan.Workload.min_windows);
+          ( "hw",
+            match plan.Workload.half_width with
+            | None -> "-"
+            | Some h -> Printf.sprintf "%h" h );
+          ( "burst",
+            match burst with
+            | `Poisson -> "poisson"
+            | `On_off (a, b, c) ->
+                Printf.sprintf "onoff:%h:%h:%s" a b
+                  (match c with None -> "-" | Some x -> Printf.sprintf "%h" x)
+          );
+          ("points", String.concat "," (List.map (Printf.sprintf "%h") utilizations));
+        ]
       ~task:(fun ~attempt i utilization ->
         let hop = hop_for_utilization ~utilization ~burst in
         let base =
@@ -90,41 +94,21 @@ let run ?(scale = 1.0) ?(seed = 42_005) ?(sample_size = 1000)
           r_hat = pair.Workload.ratio_hat;
           scores;
         })
-      utilizations
-  in
-  let table =
-    Table.create
       ~title:
         (Printf.sprintf
            "Fig 6: CIT + cross traffic (lab), detection vs link utilization \
             (sample size %d)"
            sample_size)
-      ~columns:
-        [ "util"; "sigma_l(us)"; "r_hat"; "feature"; "empirical"; "95% CI"; "theory" ]
+      ~columns:([ "util"; "sigma_l(us)"; "r_hat" ] @ Workload.columns ~ci:true)
+      ~rows:(fun p ->
+        List.map
+          (fun s ->
+            Printf.sprintf "%.2f" p.utilization
+            :: Printf.sprintf "%.2f" (p.sigma_low *. 1e6)
+            :: Printf.sprintf "%.4f" p.r_hat
+            :: Workload.cells ~ci:true s)
+          p.scores)
+      ?csv_dir fmt
+      (List.map (fun u -> (Printf.sprintf "%.2f" u, u)) utilizations)
   in
-  List.iter2
-    (fun utilization (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          List.iter
-            (fun (s : Workload.scored) ->
-              Table.add_row table
-                [
-                  Printf.sprintf "%.2f" p.utilization;
-                  Printf.sprintf "%.2f" (p.sigma_low *. 1e6);
-                  Printf.sprintf "%.4f" p.r_hat;
-                  Adversary.Feature.name s.feature;
-                  Printf.sprintf "%.3f" s.empirical;
-                  Workload.pp_ci s;
-                  Printf.sprintf "%.3f" s.theory;
-                ])
-            p.scores
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            [ Printf.sprintf "%.2f" utilization; "-"; "-"; "-"; "-"; "-"; "-" ])
-    utilizations cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fig6.csv")
-  | None -> ());
-  { sample_size; points = Sweep.ok_values cells }
+  { sample_size; points }

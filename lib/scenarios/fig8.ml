@@ -38,20 +38,25 @@ let run ?(scale = 1.0) ?(seed = 42_006) ?(sample_size = 1000)
   let plan =
     Workload.window_plan ~sample_size ~max_windows:windows ?half_width ()
   in
-  let sweep = Printf.sprintf "fig8.%s" (kind_name kind) in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "%s|seed=%d|n=%d|w=%d|stride=%d|wps=%d|minw=%d|hw=%s|points=%s"
-         sweep seed sample_size windows plan.Workload.stride
-         plan.Workload.windows_per_shard plan.Workload.min_windows
-         (match plan.Workload.half_width with
-         | None -> "-"
-         | Some h -> Printf.sprintf "%h" h)
-         (String.concat "," (List.map (Printf.sprintf "%h") hours)))
-  in
+  let hour_cell = Printf.sprintf "%02.0f:00" in
   (* Hours are seeded by index, hence independent: fan them out. *)
-  let cells =
-    Sweep.mapi ~sweep ~digest ~seed
+  let points =
+    Sweep.tabulate
+      ~sweep:(Printf.sprintf "fig8.%s" (kind_name kind))
+      ~seed
+      ~params:
+        [
+          ("n", string_of_int sample_size);
+          ("w", string_of_int windows);
+          ("stride", string_of_int plan.Workload.stride);
+          ("wps", string_of_int plan.Workload.windows_per_shard);
+          ("minw", string_of_int plan.Workload.min_windows);
+          ( "hw",
+            match plan.Workload.half_width with
+            | None -> "-"
+            | Some h -> Printf.sprintf "%h" h );
+          ("points", String.concat "," (List.map (Printf.sprintf "%h") hours));
+        ]
       ~task:(fun ~attempt i hour ->
         let hops = hops_for kind ~hour in
         let base =
@@ -70,42 +75,21 @@ let run ?(scale = 1.0) ?(seed = 42_006) ?(sample_size = 1000)
           | Wan -> Diurnal.wan_congested_utilization ~hour
         in
         { hour; utilization; r_hat = pair.Workload.ratio_hat; scores })
-      hours
-  in
-  let table =
-    Table.create
       ~title:
         (Printf.sprintf
            "Fig 8(%s): detection rate over the day (%s path, sample size %d)"
            (match kind with Campus -> "a" | Wan -> "b")
            (kind_name kind) sample_size)
-      ~columns:[ "hour"; "util"; "r_hat"; "feature"; "empirical"; "95% CI"; "theory" ]
+      ~columns:([ "hour"; "util"; "r_hat" ] @ Workload.columns ~ci:true)
+      ~rows:(fun p ->
+        List.map
+          (fun s ->
+            hour_cell p.hour
+            :: Printf.sprintf "%.3f" p.utilization
+            :: Printf.sprintf "%.4f" p.r_hat
+            :: Workload.cells ~ci:true s)
+          p.scores)
+      ?csv_dir fmt
+      (List.map (fun h -> (hour_cell h, h)) hours)
   in
-  List.iter2
-    (fun hour (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          List.iter
-            (fun (s : Workload.scored) ->
-              Table.add_row table
-                [
-                  Printf.sprintf "%02.0f:00" p.hour;
-                  Printf.sprintf "%.3f" p.utilization;
-                  Printf.sprintf "%.4f" p.r_hat;
-                  Adversary.Feature.name s.feature;
-                  Printf.sprintf "%.3f" s.empirical;
-                  Workload.pp_ci s;
-                  Printf.sprintf "%.3f" s.theory;
-                ])
-            p.scores
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            [ Printf.sprintf "%02.0f:00" hour; "-"; "-"; "-"; "-"; "-"; "-" ])
-    hours cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir ->
-      Table.save_csv table
-        ~path:(Filename.concat dir (Printf.sprintf "fig8_%s.csv" (kind_name kind)))
-  | None -> ());
-  { kind; sample_size; points = Sweep.ok_values cells }
+  { kind; sample_size; points }

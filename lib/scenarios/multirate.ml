@@ -10,15 +10,15 @@ let run ?(scale = 1.0) ?(seed = 42_007) ?(rates = [ 10.0; 20.0; 30.0; 40.0 ])
   if List.length rates < 2 then invalid_arg "Multirate.run: need >= 2 rates";
   if sample_size < 2 then invalid_arg "Multirate.run: sample_size < 2";
   let windows = Stdlib.max 6 (int_of_float (30.0 *. scale)) in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "multirate|seed=%d|n=%d|w=%d|points=%s" seed sample_size
-         windows
-         (String.concat "," (List.map (Printf.sprintf "%h") rates)))
-  in
   (* One independent (seeded-by-index) trace collection per rate. *)
   let cells =
-    Sweep.mapi ~sweep:"multirate" ~digest ~seed
+    Sweep.run ~sweep:"multirate" ~seed
+      ~params:
+        [
+          ("n", string_of_int sample_size);
+          ("w", string_of_int windows);
+          ("points", String.concat "," (List.map (Printf.sprintf "%h") rates));
+        ]
       ~task:(fun ~attempt i rate ->
         let cfg =
           {
@@ -33,8 +33,8 @@ let run ?(scale = 1.0) ?(seed = 42_007) ?(rates = [ 10.0; 20.0; 30.0; 40.0 ])
       rates
   in
   (* m-ary detection degrades gracefully: failed rate classes become
-     annotated rows and the classifier runs on the surviving classes
-     (needs at least two). *)
+     annotated rows (ahead of the detection rows, in rate order) and the
+     classifier runs on the surviving classes (needs at least two). *)
   let classes = Array.of_list (Sweep.ok_values cells) in
   let m = Array.length classes in
   let results =
@@ -83,11 +83,14 @@ let run ?(scale = 1.0) ?(seed = 42_007) ?(rates = [ 10.0; 20.0; 30.0; 40.0 ])
     end
   in
   let table =
-    Table.create
+    Sweep.table
       ~title:
         (Printf.sprintf "Multi-rate extension: %d-ary detection (n=%d)"
            (List.length rates) sample_size)
       ~columns:[ "feature"; "detection rate"; "floor (1/m)" ]
+      ~rows:(fun _ -> [])
+      ~labels:(List.map (Printf.sprintf "class %.0fpps") rates)
+      cells
   in
   List.iter
     (fun (feature, v) ->
@@ -118,13 +121,8 @@ let run ?(scale = 1.0) ?(seed = 42_007) ?(rates = [ 10.0; 20.0; 30.0; 40.0 ])
              (Analytical.Multirate.mary_variance_exact ~sigma2s ~n:sample_size);
            Printf.sprintf "%.3f" (1.0 /. float_of_int m);
          ]);
-  List.iter2
-    (fun rate (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table
-          [ Printf.sprintf "class %.0fpps" rate; "-"; "-" ])
-    rates cells;
-  Table.print table fmt;
+  let csv file = Option.map (fun dir -> Filename.concat dir file) csv_dir in
+  Table.emit ?csv:(csv "multirate.csv") fmt table;
   (if m >= 2 then begin
      let ctable =
        Table.create ~title:"Confusion matrix (variance feature, rows = truth)"
@@ -137,9 +135,6 @@ let run ?(scale = 1.0) ?(seed = 42_007) ?(rates = [ 10.0; 20.0; 30.0; 40.0 ])
          Table.add_row ctable
            (name :: Array.to_list (Array.map string_of_int row)))
        confusion;
-     Table.print ctable fmt
+     Table.emit ?csv:(csv "multirate_confusion.csv") fmt ctable
    end);
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "multirate.csv")
-  | None -> ());
   { rates; sample_size; results; confusion }

@@ -24,5 +24,8 @@ val run :
   Format.formatter ->
   t
 (** Defaults: rates 10/20/30/40 pps, sample size 1000, CIT at the gateway,
-    30 windows per class (scaled, floor 6).  Raises
-    [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves. *)
+    30 windows per class (scaled, floor 6).  A failed rate class becomes
+    a status row ahead of the detection rows.  With [csv_dir], writes the
+    detection table as [multirate.csv] and the confusion matrix as
+    [multirate_confusion.csv].  Raises [Sweep.Sweep_internal_error] if
+    the sweep journal layer misbehaves. *)

@@ -421,8 +421,45 @@ let mapi ~sweep ~digest ~seed ?prepare ~task xs =
 let ok_values cells =
   List.filter_map (fun (c : _ cell) -> c.value) cells
 
+(* --- sweep -> table -> CSV --- *)
+
 let row_status (c : _ cell) =
   match c.status with
   | Point_ok -> Table.Row_ok
   | Point_failed -> Table.Row_failed c.error
   | Point_quarantined -> Table.Row_quarantined c.error
+
+let run ~sweep ~seed ~params ?prepare ~task xs =
+  let key =
+    String.concat "|"
+      (sweep :: Printf.sprintf "seed=%d" seed
+      :: List.map (fun (k, v) -> k ^ "=" ^ v) params)
+  in
+  mapi ~sweep ~digest:(digest_of_string key) ~seed ?prepare ~task xs
+
+let table ~title ~columns ~rows ~labels cells =
+  let t = Table.create ~title ~columns in
+  List.iter2
+    (fun label (c : _ cell) ->
+      match c.value with
+      | Some v -> List.iter (Table.add_row t) (rows v)
+      | None ->
+          (* The point's key, then "-" out to the table's width. *)
+          Table.add_row ~status:(row_status c) t
+            (List.mapi (fun i _ -> if i = 0 then label else "-") columns))
+    labels cells;
+  t
+
+let tabulate ~sweep ~seed ~params ?prepare ~task ~title ~columns ~rows
+    ?csv_dir fmt points =
+  let cells = run ~sweep ~seed ~params ?prepare ~task (List.map snd points) in
+  let csv =
+    Option.map
+      (fun dir ->
+        Filename.concat dir
+          (String.map (fun c -> if c = '.' then '_' else c) sweep ^ ".csv"))
+      csv_dir
+  in
+  Table.emit ?csv fmt
+    (table ~title ~columns ~rows ~labels:(List.map fst points) cells);
+  ok_values cells

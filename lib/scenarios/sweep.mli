@@ -147,5 +147,58 @@ val write_manifest : path:string -> unit
 val pp_failures : Format.formatter -> unit
 (** One human-readable line per failure. *)
 
-val row_status : 'a cell -> Table.row_status
-(** Map a cell's outcome onto the table-row annotation. *)
+(** {1 Sweep to table to CSV}
+
+    Every figure, extension and ablation sweep goes through these three
+    functions: {!tabulate} for a table with one block of rows per point,
+    {!run} and {!table} when the title or trailing rows depend on all
+    points at once (fig4b, multirate, the backend ablation). *)
+
+val run :
+  sweep:string ->
+  seed:int ->
+  params:(string * string) list ->
+  ?prepare:(unit -> unit) ->
+  task:(attempt:int -> int -> 'a -> 'b) ->
+  'a list ->
+  'b cell list
+(** {!mapi} keyed by the digest of ["SWEEP|seed=SEED|K1=V1|K2=V2|..."],
+    with the [params] pairs in the order given.  [params] must cover
+    every input that determines a point's value (scale-derived sizes,
+    sample sizes, the point list itself...): the string is the journal
+    key, so an input left out lets a rerun replay answers to a different
+    question.  Raises {!Sweep_internal_error} as {!mapi} does, and
+    whatever [prepare] or [task] raises in strict mode. *)
+
+val table :
+  title:string ->
+  columns:string list ->
+  rows:('b -> string list list) ->
+  labels:string list ->
+  'b cell list ->
+  Table.t
+(** A table with, in point order, [rows v] for each ok cell and, for
+    each failed or quarantined cell, one status row: the point's label
+    followed by ["-"] out to the width of [columns].  [labels] and the
+    cells pair up by position.  Raises [Invalid_argument] when their
+    lengths differ or a rendered row has the wrong width. *)
+
+val tabulate :
+  sweep:string ->
+  seed:int ->
+  params:(string * string) list ->
+  ?prepare:(unit -> unit) ->
+  task:(attempt:int -> int -> 'a -> 'b) ->
+  title:string ->
+  columns:string list ->
+  rows:('b -> string list list) ->
+  ?csv_dir:string ->
+  Format.formatter ->
+  (string * 'a) list ->
+  'b list
+(** [run] over the points (each paired with its row label), then
+    [table], then {!Table.emit}: print it and, with [csv_dir], save it
+    as [csv_dir/SWEEP.csv] with every ['.'] of the sweep name replaced by
+    ['_'] ([fig8.wan] writes [fig8_wan.csv]).  Returns the ok values in
+    point order.  Raises {!Sweep_internal_error} as {!run} does and
+    [Sys_error] when the CSV cannot be written. *)

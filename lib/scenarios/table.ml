@@ -64,7 +64,6 @@ let rec register_digest entry =
     register_digest entry
 
 let printed_digests () = List.rev (Atomic.get registry)
-let reset_digests () = Atomic.set registry []
 
 let print t fmt =
   register_digest (t.title, digest t);
@@ -120,3 +119,7 @@ let save_csv t ~path =
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc (to_csv t))
+
+let emit ?csv fmt t =
+  print t fmt;
+  Option.iter (fun path -> save_csv t ~path) csv

@@ -12,7 +12,7 @@ val create : title:string -> columns:string list -> t
 val add_row : ?status:row_status -> t -> string list -> unit
 (** Add a row (default status {!Row_ok}).  Raises [Invalid_argument] if
     the row width differs from the header.  When at least one row is not
-    ok, {!print} and {!to_csv} append a trailing [status] column carrying
+    ok, {!emit} and {!to_csv} append a trailing [status] column carrying
     the per-row annotation — tables of fully successful runs render
     byte-identically to tables that never heard of statuses. *)
 
@@ -22,12 +22,6 @@ val has_failures : t -> bool
 val fcell : float -> string
 (** Default float formatting ("%.4g"); scientific when warranted. *)
 
-val print : t -> Format.formatter -> unit
-(** Render with column alignment, a title line, and a rule.  Also records
-    [(title, digest)] in the process-global registry read by
-    {!printed_digests} — the bench harness serializes that registry so
-    the regression differ can bind on table content. *)
-
 val digest : t -> string
 (** Hex MD5 of the title plus the {!to_csv} rendering — one stable
     fingerprint per table; any cell, status annotation, or column change
@@ -36,14 +30,15 @@ val digest : t -> string
 val printed_digests : unit -> (string * string) list
 (** [(title, digest)] of every table printed so far, in print order. *)
 
-val reset_digests : unit -> unit
-(** Clear the registry (tests). *)
-
 val to_csv : t -> string
 (** RFC-4180-ish CSV (quotes cells containing commas/quotes/newlines). *)
 
-val save_csv : t -> path:string -> unit
-(** Write {!to_csv} to [path], creating missing parent directories
-    (mkdir -p semantics).  Failures surface as [Sys_error] with an
-    actionable message naming the offending path instead of the raw
-    [open_out] error. *)
+val emit : ?csv:string -> Format.formatter -> t -> unit
+(** The one way a table leaves the program: render it on the formatter
+    (column alignment, a title line, a rule) and record
+    [(title, {!digest})] in the registry read by {!printed_digests} —
+    the bench harness serializes that registry so the regression differ
+    binds on table content.  With [csv], also write {!to_csv} to that
+    path, creating missing parent directories (mkdir -p semantics).
+    Raises [Sys_error] with a message naming the offending path when the
+    CSV cannot be written. *)

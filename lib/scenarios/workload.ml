@@ -51,6 +51,14 @@ let pp_ci s =
   let iv = wilson95 s in
   Printf.sprintf "[%.2f,%.2f]" iv.Stats.Confidence.lo iv.Stats.Confidence.hi
 
+let columns ~ci =
+  "feature" :: "empirical" :: (if ci then [ "95% CI"; "theory" ] else [ "theory" ])
+
+let cells ~ci s =
+  let p = Printf.sprintf "%.3f" in
+  Adversary.Feature.name s.feature :: p s.empirical
+  :: (if ci then [ pp_ci s; p s.theory ] else [ p s.theory ])
+
 let theory_of ~feature ~r ~n =
   match feature with
   | Adversary.Feature.Sample_mean -> Analytical.Theorems.v_mean ~r

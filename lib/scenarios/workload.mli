@@ -40,6 +40,14 @@ val wilson95 : scored -> Stats.Confidence.interval
 val pp_ci : scored -> string
 (** "[lo, hi]" rendering of {!wilson95} for table cells. *)
 
+val columns : ci:bool -> string list
+(** Header of a scored block: [feature; empirical; 95% CI; theory], the
+    CI column only when [ci]. *)
+
+val cells : ci:bool -> scored -> string list
+(** The {!columns} cells of one score: feature name, empirical and theory
+    rates to three decimals, and {!pp_ci} when [ci]. *)
+
 val score :
   traces ->
   features:Adversary.Feature.kind list ->

@@ -52,7 +52,6 @@ let density t i =
   if t.total = 0 then 0.0
   else float_of_int t.counts.(i) /. (float_of_int t.total *. t.bin_width)
 
-let densities t = Array.init (bins t) (fun i -> (bin_center t i, density t i))
 
 let probabilities t =
   if t.total = 0 then Array.make (bins t) 0.0

@@ -33,10 +33,6 @@ val bin_center : t -> int -> float
 val density : t -> int -> float
 (** Normalized density of bin [i]: count / (n * bin_width); 0 if empty. *)
 
-val densities : t -> (float * float) array
-(** [(center, density)] for every bin — the empirical PDF curve used to
-    reproduce the paper's Fig. 4(a). *)
-
 val probabilities : t -> float array
 (** Per-bin probability mass k_i / n (sums to 1 when count > 0). *)
 

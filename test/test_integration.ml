@@ -297,6 +297,49 @@ let test_table_rendering_and_csv () =
   Alcotest.check_raises "width" (Invalid_argument "Table.add_row: width mismatch")
     (fun () -> Scenarios.Table.add_row t [ "only one" ])
 
+(* --csv writes every table a figure prints: each (title, digest) in the
+   print registry must match exactly one file, byte for byte, since the
+   digest is MD5 of the title and the table's [to_csv]. *)
+let test_csv_covers_printed_tables () =
+  let dir = Filename.temp_file "ta_csv" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+  @@ fun () ->
+  let before = List.length (Scenarios.Table.printed_digests ()) in
+  ignore (Scenarios.Fig4a.run ~scale:0.01 ~seed:91_010 ~csv_dir:dir null_fmt);
+  ignore
+    (Scenarios.Multirate.run ~scale:0.01 ~seed:91_011 ~rates:[ 10.0; 40.0 ]
+       ~sample_size:100 ~csv_dir:dir null_fmt);
+  let printed =
+    List.filteri (fun i _ -> i >= before) (Scenarios.Table.printed_digests ())
+  in
+  let files = Array.to_list (Sys.readdir dir) in
+  Alcotest.(check (list string))
+    "CSV file set"
+    [ "fig4a.csv"; "fig4a_stats.csv"; "multirate.csv"; "multirate_confusion.csv" ]
+    (List.sort compare files);
+  Alcotest.(check int) "one CSV per printed table" (List.length printed)
+    (List.length files);
+  List.iter
+    (fun (title, digest) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S has a CSV equal to its to_csv" title)
+        true
+        (List.exists
+           (fun f ->
+             let csv =
+               In_channel.with_open_bin (Filename.concat dir f)
+                 In_channel.input_all
+             in
+             Digest.to_hex (Digest.string (title ^ "\n" ^ csv)) = digest)
+           files))
+    printed
+
 let test_diurnal_profile () =
   close "activity min at 4am" 0.0 (Scenarios.Diurnal.activity ~hour:4.0);
   close "activity max at 16h" 1.0 (Scenarios.Diurnal.activity ~hour:16.0);
@@ -423,6 +466,8 @@ let suite =
     Alcotest.test_case "fig4b shape" `Slow test_fig4b_shape;
     Alcotest.test_case "fig5b monotone + headline" `Quick test_fig5b_monotone;
     Alcotest.test_case "multirate shape" `Slow test_multirate_shape;
+    Alcotest.test_case "csv covers printed tables" `Quick
+      test_csv_covers_printed_tables;
     Alcotest.test_case "fleet median = single-flow detection" `Slow
       test_fleet_median_matches_single_flow;
     Alcotest.test_case "bounds table runs" `Quick test_bounds_table_runs;

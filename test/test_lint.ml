@@ -173,6 +173,34 @@ let test_tree_e001 () =
 (* [Api.safe] catches Boom and [Mid]/[Deep] declare it in their doc
    contracts, so the only finding is the undocumented [Api.entry]. *)
 
+(* Sweep.tabulate runs only its task under supervision: exceptions from
+   the task closure are contained at runtime (the edge defers), while the
+   row renderer runs after the sweep and still propagates. *)
+let test_sweep_task_defers () =
+  let source =
+    "let f fmt points =\n\
+    \  Sweep.tabulate ~sweep:\"s\" ~seed:1 ~params:[]\n\
+    \    ~task:(fun ~attempt:_ _ x -> Deep.step x)\n\
+    \    ~title:\"t\" ~columns:[ \"k\" ] ~rows:(fun v -> Deep.render v) fmt points\n"
+  in
+  let s =
+    Lint.Symtab.summarize ~role:(Lint.Rules.Lib "fixture") ~lib:"fixture"
+      ~wrapped:true ~file:"lib/fixture/inline.ml" ~source ~mli_source:None
+  in
+  let deferred name =
+    List.find_map
+      (fun (fn : Lint.Symtab.fn) ->
+        List.find_map
+          (fun (c : Lint.Symtab.call) ->
+            if c.callee = [ "Deep"; name ] then Some c.c_defer else None)
+          fn.calls)
+      s.Lint.Symtab.s_funcs
+  in
+  Alcotest.(check (option bool)) "task closure defers" (Some true)
+    (deferred "step");
+  Alcotest.(check (option bool)) "row renderer does not" (Some false)
+    (deferred "render")
+
 let test_tree_t001 () =
   let r = run_tree "tree_t001" in
   Alcotest.check span_t "one T001 at the fan-out call site"
@@ -519,4 +547,6 @@ let suite =
     Alcotest.test_case "CLI: exit 1 + JSON on violations, 2 on bad flags"
       `Quick test_cli_roundtrip;
     Alcotest.test_case "CLI: --rules in text and JSON" `Quick test_cli_rules;
+    Alcotest.test_case "E001: only a sweep's task defers" `Quick
+      test_sweep_task_defers;
   ]

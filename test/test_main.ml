@@ -13,9 +13,7 @@ let () =
       ("stats.stream", Test_stream.suite);
       ("stats.fourier", Test_fourier.suite);
       ("desim", Test_desim.suite);
-      ("desim.proc", Test_proc.suite);
       ("netsim", Test_netsim.suite);
-      ("netsim.shaper", Test_shaper.suite);
       ("padding", Test_padding.suite);
       ("padding.kernel", Test_kernel.suite);
       ("adversary", Test_adversary.suite);

@@ -502,7 +502,126 @@ let test_table_status_column () =
       Alcotest.(check bool)
         (Printf.sprintf "partial CSV mentions %S" needle)
         true (contains needle))
-    [ "status"; "ok"; "failed: tap starved"; "quarantined: boom" ]
+    [ "status"; "ok"; "failed: tap starved"; "quarantined: boom" ];
+  (* Sweep.table: a failed point keeps its place, as its label padded with
+     "-" out to the table's width. *)
+  let cell index status value error =
+    { Sweep.index; status; attempts = 1; resumed = false; value; error }
+  in
+  let swept =
+    Sweep.table ~title:"t" ~columns:[ "k"; "x"; "y" ]
+      ~rows:(fun v -> [ [ v; "1"; "2" ]; [ v; "3"; "4" ] ])
+      ~labels:[ "a"; "b"; "c"; "d" ]
+      [
+        cell 0 Sweep.Point_ok (Some "a") "";
+        cell 1 Sweep.Point_failed None "tap starved";
+        cell 2 Sweep.Point_ok (Some "c") "";
+        cell 3 Sweep.Point_quarantined None "boom";
+      ]
+  in
+  Alcotest.(check string)
+    "failed rows in place, padded to the table width"
+    "k,x,y,status\na,1,2,ok\na,3,4,ok\nb,-,-,failed: tap starved\nc,1,2,ok\n\
+     c,3,4,ok\nd,-,-,quarantined: boom\n"
+    (Scenarios.Table.to_csv swept)
+
+(* --- sweep -> table helper --- *)
+
+(* The journal header's digest is MD5 of "v1|" ^ MD5(key) ^ the
+   supervision settings, so reading it back pins the key string a figure
+   really built.  Every point is injected to fail on its first attempt,
+   so no point simulates anything. *)
+let journal_key_pinned ~sweep ~seed ~key run =
+  with_defaults @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  Sweep.set_checkpoint_dir (Some dir);
+  Sweep.set_retries 0;
+  Sweep.set_injections
+    (List.init 16 (fun i ->
+         { Sweep.inj_sweep = sweep; inj_index = i; first_ok = None }));
+  run (Format.make_formatter (fun _ _ _ -> ()) ignore);
+  let header =
+    List.hd
+      (String.split_on_char '\n'
+         (read_file (Filename.concat dir (sweep ^ ".ckpt"))))
+  in
+  let re = Str.regexp {|"digest":"\([0-9a-f]+\)"|} in
+  ignore (Str.search_forward re header 0);
+  Alcotest.(check string)
+    (sweep ^ " journal key")
+    (Sweep.digest_of_string
+       (Printf.sprintf "v1|%s|seed=%d|retries=0|budget=none"
+          (Sweep.digest_of_string key) seed))
+    (Str.matched_group 1 header)
+
+let test_digest_keys_pinned () =
+  (* The literal formats the figures used before the helper existed:
+     existing ta-ckpt/1 journals only resume while these hold. *)
+  let plan =
+    Scenarios.Workload.window_plan ~sample_size:1000 ~max_windows:6
+      ~half_width:0.05 ()
+  in
+  journal_key_pinned ~sweep:"fig6" ~seed:7
+    ~key:
+      (Printf.sprintf
+         "fig6|seed=%d|n=%d|w=%d|stride=%d|wps=%d|minw=%d|hw=%s|burst=%s|points=%s"
+         7 1000 6 plan.Scenarios.Workload.stride
+         plan.Scenarios.Workload.windows_per_shard
+         plan.Scenarios.Workload.min_windows (Printf.sprintf "%h" 0.05)
+         (Printf.sprintf "onoff:%h:%h:%s" 0.5 1.5 (Printf.sprintf "%h" 1.2))
+         (String.concat "," (List.map (Printf.sprintf "%h") [ 0.1; 0.3 ])))
+    (fun fmt ->
+      ignore
+        (Scenarios.Fig6.run ~scale:0.05 ~seed:7 ~utilizations:[ 0.1; 0.3 ]
+           ~burst:(`On_off (0.5, 1.5, Some 1.2)) ~half_width:0.05 fmt));
+  let mix =
+    Printf.sprintf "%s:%h:%h,%s:%h:%h" Scenarios.Calibration.label_low
+      Scenarios.Calibration.rate_low_pps 0.5 Scenarios.Calibration.label_high
+      Scenarios.Calibration.rate_high_pps 0.5
+  in
+  journal_key_pinned ~sweep:"fleet" ~seed:8
+    ~key:
+      (Printf.sprintf
+         "fleet|seed=%d|n=%d|windows=%d|gateways=%d|probes=%d|duration=%h|load=%s|mix=%s|points=%s"
+         8 25 16 3 2 1.5 "diurnal" mix "5,10")
+    (fun fmt ->
+      ignore
+        (Scenarios.Fleet.run ~scale:0.05 ~seed:8 ~flow_counts:[ 100; 200 ]
+           ~gateways:3 ~probes:2 ~duration:1.5 ~load:Scenarios.Fleet.Diurnal fmt));
+  journal_key_pinned ~sweep:"ablations.oracle_vs_kde" ~seed:9
+    ~key:
+      (Printf.sprintf "ablations.oracle_vs_kde|seed=%d|n=%d|w=%d" 9 200 12)
+    (fun fmt -> ignore (Scenarios.Ablations.run_oracle_vs_kde ~scale:0.05 ~seed:9 fmt))
+
+(* A failed point's status row sits at the point's position, between the
+   rows of its neighbours, not after every ok row. *)
+let test_failed_row_in_place () =
+  with_defaults @@ fun () ->
+  Sweep.set_retries 0;
+  Sweep.set_injections
+    [ { Sweep.inj_sweep = "ablations.tap_positions"; inj_index = 1; first_ok = None } ];
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  ignore (Scenarios.Ablations.run_tap_positions ~scale:0.05 fmt);
+  Format.pp_print_flush fmt ();
+  let rec after_rule = function
+    | [] -> []
+    | l :: rest ->
+        if l <> "" && String.for_all (fun c -> c = '-') l then rest
+        else after_rule rest
+  in
+  let rows =
+    List.filter (fun l -> l <> "")
+      (after_rule (String.split_on_char '\n' (Buffer.contents buf)))
+  in
+  let key l = List.hd (String.split_on_char ' ' l) in
+  Alcotest.(check (list string))
+    "row keys in point order"
+    [ "0"; "0"; "0"; "1"; "2"; "2"; "2"; "3"; "3"; "3" ]
+    (List.map key rows);
+  let row1 = List.nth rows 3 in
+  Alcotest.(check bool) "point 1 row is the quarantine row" true
+    (Str.string_match (Str.regexp "1 +- +- +- +- +quarantined") row1 0)
 
 let suite =
   [
@@ -526,4 +645,6 @@ let suite =
     Alcotest.test_case "resume replays journaled failures" `Quick
       test_resume_replays_failures;
     Alcotest.test_case "table status column" `Quick test_table_status_column;
+    Alcotest.test_case "digest keys pinned" `Quick test_digest_keys_pinned;
+    Alcotest.test_case "failed row in place" `Slow test_failed_row_in_place;
   ]
