@@ -2,8 +2,8 @@
    executed as a batch loop instead of discrete events.
 
    Per chunk the stage merges four time-ordered streams — padded sends
-   handed down by the upstream stage, this hop's own Poisson cross
-   arrivals (pre-generated in blocks from the hop's split-off RNG), and
+   handed down by the upstream stage, this hop's own cross source (a
+   [Train]: Poisson or on/off, drawn from the hop's split-off RNG), and
    the pending transmit-finish / propagation-delivery trains — and
    replays exactly the float arithmetic of [Link.send] and its scheduled
    callbacks.  Packets are (time, tag) float pairs: a payload's tag is
@@ -19,8 +19,8 @@
 
 type t = {
   (* reusable storage, kept across runs via the scenario arena *)
-  regs : floatarray; (* 0 busy_until, 1 busy_time, 2 next_cross *)
-  cross_buf : floatarray; (* pre-generated cross inter-arrival block *)
+  regs : floatarray; (* 0 busy_until, 1 busy_time *)
+  cross : Train.t; (* the hop's cross source; head = infinity without one *)
   fin_t : Fring.t; (* pending transmit-finish times *)
   fin_tag : Fring.t;
   del_t : Fring.t; (* pending far-end deliveries (propagation > 0) *)
@@ -31,9 +31,6 @@ type t = {
   (* per-run configuration, set by [configure] *)
   mutable in_t : Fvec.t; (* upstream stage's chunk output *)
   mutable in_tag : Fvec.t;
-  mutable rng_cross : Prng.Rng.t option;
-  mutable cross_rate : float;
-  mutable cross_idx : int;
   mutable propagation : float;
   mutable tx_padded : float;
   mutable tx_cross : float;
@@ -43,21 +40,17 @@ type t = {
   mutable in_idx : int;
   mutable depth : int;
   mutable hwm : int;
-  mutable sent : int;
   mutable dropped : int;
   mutable enqueued : int;
-  mutable diverted : int;
   mutable max_pend : int;
   mutable events : int; (* events this chunk *)
 }
 
-let cross_block = 4096
-
 let create () =
   let empty = Fvec.create ~capacity:1 () in
   {
-    regs = Float.Array.make 3 0.0;
-    cross_buf = Float.Array.create cross_block;
+    regs = Float.Array.make 2 0.0;
+    cross = Train.create ();
     fin_t = Fring.create ~capacity:64 ();
     fin_tag = Fring.create ~capacity:64 ();
     del_t = Fring.create ~capacity:64 ();
@@ -67,9 +60,6 @@ let create () =
     trace = Tracebuf.create ();
     in_t = empty;
     in_tag = empty;
-    rng_cross = None;
-    cross_rate = 0.0;
-    cross_idx = 0;
     propagation = 0.0;
     tx_padded = 0.0;
     tx_cross = 0.0;
@@ -78,32 +68,16 @@ let create () =
     in_idx = 0;
     depth = 0;
     hwm = 0;
-    sent = 0;
     dropped = 0;
     enqueued = 0;
-    diverted = 0;
     max_pend = 0;
     events = 0;
   }
 
-let refill t rng =
-  Prng.Sampler.exponential_fill rng ~rate:t.cross_rate t.cross_buf
-    ~n:cross_block;
-  t.cross_idx <- 0
-
-(* Advance the cross arrival train by one draw: next = prev +. dt, the
-   same accumulation [Sim.every] performs (clock +. interval ()). *)
-let cross_next t rng =
-  if t.cross_idx >= cross_block then refill t rng;
-  Float.Array.set t.regs 2
-    (Float.Array.get t.regs 2 +. Float.Array.unsafe_get t.cross_buf t.cross_idx);
-  t.cross_idx <- t.cross_idx + 1
-
-let configure t ~bandwidth_bps ~propagation ~queue_limit ~packet_size
-    ~cross ~in_t ~in_tag =
+let configure ?(burst = `Poisson) t ~bandwidth_bps ~propagation ~queue_limit
+    ~packet_size ~cross ~in_t ~in_tag =
   Float.Array.set t.regs 0 0.0;
   Float.Array.set t.regs 1 0.0;
-  Float.Array.set t.regs 2 0.0;
   Fring.clear t.fin_t;
   Fring.clear t.fin_tag;
   Fring.clear t.del_t;
@@ -122,33 +96,27 @@ let configure t ~bandwidth_bps ~propagation ~queue_limit ~packet_size
   t.in_idx <- 0;
   t.depth <- 0;
   t.hwm <- 0;
-  t.sent <- 0;
   t.dropped <- 0;
   t.enqueued <- 0;
-  t.diverted <- 0;
   t.max_pend <- 0;
   t.events <- 0;
   match cross with
   | None ->
-      t.rng_cross <- None;
-      t.cross_rate <- 0.0;
+      Train.stop t.cross;
       t.tx_cross <- 0.0
   | Some (rng, rate_pps, size_bytes) ->
-      t.rng_cross <- Some rng;
-      t.cross_rate <- rate_pps;
       t.tx_cross <- float_of_int size_bytes *. 8.0 /. bandwidth_bps;
-      refill t rng;
-      (* First arrival: clock (0.0) +. first draw, as Sim.every schedules
-         it at source creation. *)
-      cross_next t rng
+      Train.start t.cross ~rng ~rate:rate_pps
+        (burst : [ `Poisson | `On_off of float * float * float option ]
+          :> Train.law)
 
 let note_pend t =
   let pend = Fring.length t.fin_t + Fring.length t.del_t in
   if pend > t.max_pend then t.max_pend <- pend
 
+(* Cross packets are diverted at the link exit, as the router does. *)
 let deliver t ~time ~tag =
-  if tag = neg_infinity then t.diverted <- t.diverted + 1
-  else begin
+  if tag <> neg_infinity then begin
     Fvec.push t.out_t time;
     Fvec.push t.out_tag tag
   end
@@ -193,11 +161,7 @@ let advance t ~until =
     let tin =
       if t.in_idx < n_in then Fvec.unsafe_get t.in_t t.in_idx else infinity
     in
-    let tc =
-      match t.rng_cross with
-      | Some _ -> Float.Array.get t.regs 2
-      | None -> infinity
-    in
+    let tc = Train.head t.cross in
     let tf = if Fring.is_empty t.fin_t then infinity else Fring.peek t.fin_t in
     let td = if Fring.is_empty t.del_t then infinity else Fring.peek t.del_t in
     let m = Float.min (Float.min tin tc) (Float.min tf td) in
@@ -207,7 +171,6 @@ let advance t ~until =
       ignore (Fring.pop t.fin_t : float);
       let tag = Fring.pop t.fin_tag in
       t.depth <- t.depth - 1;
-      t.sent <- t.sent + 1;
       t.events <- t.events + 1;
       if t.propagation = 0.0 then deliver t ~time:m ~tag
     end
@@ -225,12 +188,11 @@ let advance t ~until =
       send t ~now:m ~tag ~tx:t.tx_padded
     end
     else begin
-      (* cross source tick: one event, even when the send is dropped *)
+      (* cross source event: one event, even when the send is dropped or
+         an on/off phase event sends nothing *)
       t.events <- t.events + 1;
-      send t ~now:m ~tag:neg_infinity ~tx:t.tx_cross;
-      match t.rng_cross with
-      | Some rng -> cross_next t rng
-      | None -> assert false
+      if Train.emits t.cross then send t ~now:m ~tag:neg_infinity ~tx:t.tx_cross;
+      Train.next t.cross
     end
   done
 
@@ -238,11 +200,9 @@ let out_times t = t.out_t
 let out_tags t = t.out_tag
 let trace t = t.trace
 let chunk_events t = t.events
-let sent t = t.sent
 let dropped t = t.dropped
 let enqueued t = t.enqueued
 let queue_hwm t = t.hwm
-let diverted t = t.diverted
 let max_pending t = t.max_pend
 
 (* Same float expressions as [Link.utilization] at simulated time [now]. *)

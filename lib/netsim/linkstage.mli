@@ -1,8 +1,9 @@
-(** Fused chain-hop kernel: one hop's {!Link} + {!Router} + Poisson
-    cross source executed as a batch loop instead of discrete events.
+(** Fused chain-hop kernel: one hop's {!Link} + {!Router} + Poisson or
+    on/off cross source executed as a batch loop instead of discrete
+    events.
 
     Per chunk the stage merges the padded sends handed down by the
-    upstream stage with the hop's own pre-generated cross arrivals and
+    upstream stage with the hop's own cross arrival {!Train} and
     the pending transmit-finish / propagation-delivery trains, replaying
     {!Link.send}'s float arithmetic exactly — same busy-interval
     accumulation, same drop decisions, same counters.  Packets are
@@ -22,6 +23,7 @@ val create : unit -> t
     reconfigured per run. *)
 
 val configure :
+  ?burst:[ `Poisson | `On_off of float * float * float option ] ->
   t ->
   bandwidth_bps:float ->
   propagation:float ->
@@ -32,10 +34,12 @@ val configure :
   in_tag:Fvec.t ->
   unit
 (** Reset for a new run at simulated time 0.  [cross] is
-    [(rng, rate_pps, size_bytes)] for a Poisson cross source whose
-    [rng] must be the same split-off child the event-loop topology would
-    hand it (chain order: hops with cross traffic, back to front); the
-    first block of inter-arrival draws is pre-filled here.  [in_t] /
+    [(rng, rate_pps, size_bytes)] for a cross source whose [rng] must be
+    the same split-off child the event-loop topology would hand it
+    (chain order: hops with cross traffic, back to front); [burst] is
+    its {!Topology.cross_spec} law (default [`Poisson]), which
+    {!Topology.validate} has checked.  The source's first event is drawn
+    here.  [in_t] /
     [in_tag] are the upstream stage's chunk-output buffers, consumed in
     full on every {!advance}. *)
 
@@ -55,18 +59,16 @@ val trace : t -> Tracebuf.t
 
 val chunk_events : t -> int
 (** Events the event loop would have dispatched for the last {!advance}
-    chunk (cross arrivals + finishes + deliveries; input sends happen
-    inside the upstream stage's events and are counted there). *)
+    chunk (cross source events, on/off phase events included, +
+    finishes + deliveries; input sends happen inside the upstream
+    stage's events and are counted there). *)
 
-val sent : t -> int
 val dropped : t -> int
 val enqueued : t -> int
 
 val queue_hwm : t -> int
 (** Exact link-queue depth high-water mark (the
     [netsim.link.queue_hwm] gauge observation). *)
-
-val diverted : t -> int
 
 val max_pending : t -> int
 (** High-water mark of pending finish + delivery trains (run scope),

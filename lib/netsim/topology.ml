@@ -25,7 +25,10 @@ let start_cross sim ~rng ~spec ~dest =
       Traffic_gen.poisson sim ~rng ~rate_pps:spec.rate_pps
         ~size_bytes:spec.size_bytes ~kind:Packet.Cross ~dest ()
   | `On_off (mean_on, mean_off, pareto_shape) ->
-      (* rate_on is scaled up so the long-run average matches rate_pps. *)
+      (* rate_on is rate_pps over the duty cycle.  The off phase only
+         starts once the next gap lands past the on phase's end, so the
+         long-run rate falls short of rate_pps by the factor
+         (mean_on + mean_off) / (mean_on + mean_off + 1 / rate_on). *)
       let duty = mean_on /. (mean_on +. mean_off) in
       Traffic_gen.on_off sim ~rng ~rate_on_pps:(spec.rate_pps /. duty) ~mean_on
         ~mean_off ?pareto_shape ~size_bytes:spec.size_bytes ~kind:Packet.Cross
@@ -44,6 +47,11 @@ let validate ~hops ~tap_position =
       match h.cross with
       | Some c when c.rate_pps <= 0.0 ->
           invalid_arg "Topology.chain: cross rate <= 0"
+      | Some { burst = `On_off (mean_on, mean_off, shape); _ } ->
+          if not (mean_on > 0.0 && mean_off > 0.0) then
+            invalid_arg "Topology.chain: on/off period means must be positive";
+          if (match shape with Some s -> not (s > 1.0) | None -> false) then
+            invalid_arg "Topology.chain: pareto_shape <= 1"
       | _ -> ())
     hops
 

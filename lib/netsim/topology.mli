@@ -32,7 +32,9 @@ val validate : hops:hop_spec array -> tap_position:int -> unit
 (** The one check of a hop layout, shared by {!chain} and the fused
     pipeline: the tap position is in [0, Array.length hops], and every
     hop has [bandwidth_bps > 0], [propagation >= 0], [queue_limit >= 1]
-    when set, and a positive cross rate when it has cross traffic.
+    when set, and a positive cross rate when it has cross traffic; an
+    on/off source also needs positive period means and, when set,
+    [pareto_shape > 1].
     Raises [Invalid_argument] naming the failed check. *)
 
 val cross_streams : rng:Prng.Rng.t -> hop_spec array -> Prng.Rng.t option array

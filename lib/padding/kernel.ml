@@ -1,7 +1,7 @@
 (* Fused padding-gateway stage: the CIT/VIT gateway of [Gateway]
-   executed as a batch loop over three merged trains — pre-generated
-   Poisson payload arrivals, the timer-fire train, and the pending
-   emission train — instead of per-event dispatch.
+   executed as a batch loop over three merged trains — the payload
+   arrival train ([Netsim.Train]: Poisson or CBR), the timer-fire train,
+   and the pending emission train — instead of per-event dispatch.
 
    Exactness contract: the stage consumes the same RNG draws in the same
    order and evaluates the same float expressions as [Gateway.on_fire]
@@ -16,28 +16,27 @@
    Same-instant events: a pending emission goes first (the event loop
    pushed it before the coinciding fire's queue record, and its order
    against an arrival is unobservable: disjoint state, no trace record
-   on either side); then a payload arrival goes before a timer fire, so
-   a packet arriving at the fire instant is already queued when the fire
-   decides between payload and dummy. *)
+   on either side); then a payload arrival and a timer fire go in arming
+   order, as the event loop's queue sequence orders them: the one whose
+   train re-armed first goes first.  At creation the gateway arms its
+   fire before the source arms its arrival. *)
 
 type t = {
-  regs : floatarray; (* 0 next_arrival, 1 next_fire, 2 last_emit *)
-  arr_buf : floatarray; (* pre-generated payload inter-arrival block *)
+  regs : floatarray; (* 0 next_fire, 1 last_emit *)
+  arrivals : Netsim.Train.t; (* payload arrivals *)
   queue : Netsim.Fring.t; (* queued payload creation times *)
   window : Netsim.Fring.t; (* arrivals in the IRQ blocking window *)
   pend_t : Netsim.Fring.t; (* pending emissions awaiting their latency *)
   pend_tag : Netsim.Fring.t;
-  occ : Netsim.Fvec.t; (* queue-occupancy histogram observations *)
+  occ : Netsim.Fvec.t; (* this chunk's queue-occupancy observations *)
   out_t : Netsim.Fvec.t; (* this chunk's emissions *)
   out_tag : Netsim.Fvec.t;
   trace : Netsim.Tracebuf.t;
-  mutable rng_payload : Prng.Rng.t;
   mutable rng_gateway : Prng.Rng.t;
   mutable timer : Timer.law;
   mutable jitter : Jitter.t;
   mutable packet_size : int;
-  mutable payload_rate : float;
-  mutable arr_idx : int;
+  mutable arrival_last : bool; (* arrivals re-armed after the timer *)
   mutable fires : int;
   mutable payload_sent : int;
   mutable dummy_sent : int;
@@ -46,13 +45,11 @@ type t = {
   mutable events : int; (* events this chunk *)
 }
 
-let arrival_block = 4096
-
 let create () =
   let dummy_rng = Prng.Rng.create ~seed:0 in
   {
-    regs = Float.Array.make 3 0.0;
-    arr_buf = Float.Array.create arrival_block;
+    regs = Float.Array.make 2 0.0;
+    arrivals = Netsim.Train.create ();
     queue = Netsim.Fring.create ~capacity:64 ();
     window = Netsim.Fring.create ~capacity:64 ();
     pend_t = Netsim.Fring.create ~capacity:64 ();
@@ -61,13 +58,11 @@ let create () =
     out_t = Netsim.Fvec.create ~capacity:1024 ();
     out_tag = Netsim.Fvec.create ~capacity:1024 ();
     trace = Netsim.Tracebuf.create ();
-    rng_payload = dummy_rng;
     rng_gateway = dummy_rng;
     timer = Timer.Constant 0.010;
     jitter = Jitter.none;
     packet_size = 500;
-    payload_rate = 1.0;
-    arr_idx = 0;
+    arrival_last = true;
     fires = 0;
     payload_sent = 0;
     dummy_sent = 0;
@@ -76,21 +71,8 @@ let create () =
     events = 0;
   }
 
-let refill t =
-  Prng.Sampler.exponential_fill t.rng_payload ~rate:t.payload_rate t.arr_buf
-    ~n:arrival_block;
-  t.arr_idx <- 0
-
-(* next = prev +. dt: the accumulation Sim.every performs when the
-   arrival event re-schedules itself at clock +. interval (). *)
-let arrival_next t =
-  if t.arr_idx >= arrival_block then refill t;
-  Float.Array.set t.regs 0
-    (Float.Array.get t.regs 0 +. Float.Array.unsafe_get t.arr_buf t.arr_idx);
-  t.arr_idx <- t.arr_idx + 1
-
-let configure t ~rng_payload ~rng_gateway ~timer ~jitter ~packet_size
-    ~payload_rate =
+let configure ?(payload = `Poisson) t ~rng_payload ~rng_gateway ~timer ~jitter
+    ~packet_size ~payload_rate =
   Netsim.Fring.clear t.queue;
   Netsim.Fring.clear t.window;
   Netsim.Fring.clear t.pend_t;
@@ -99,25 +81,23 @@ let configure t ~rng_payload ~rng_gateway ~timer ~jitter ~packet_size
   Netsim.Fvec.clear t.out_t;
   Netsim.Fvec.clear t.out_tag;
   Netsim.Tracebuf.clear t.trace;
-  t.rng_payload <- rng_payload;
   t.rng_gateway <- rng_gateway;
   t.timer <- timer;
   t.jitter <- jitter;
   t.packet_size <- packet_size;
-  t.payload_rate <- payload_rate;
   t.fires <- 0;
   t.payload_sent <- 0;
   t.dummy_sent <- 0;
   t.generated <- 0;
   t.max_pend <- 0;
   t.events <- 0;
-  (* First payload arrival and first fire are both scheduled at creation
-     time (simulated 0.0) as clock +. first draw. *)
-  refill t;
-  Float.Array.set t.regs 0 0.0;
-  arrival_next t;
-  Float.Array.set t.regs 1 (0.0 +. Timer.draw timer rng_gateway);
-  Float.Array.set t.regs 2 0.0 (* last_emit <- Sim.now at create *)
+  (* First fire and first payload arrival are both scheduled at creation
+     time (simulated 0.0) as clock +. first draw, the arrival last. *)
+  Float.Array.set t.regs 0 (0.0 +. Timer.draw timer rng_gateway);
+  Float.Array.set t.regs 1 0.0 (* last_emit <- Sim.now at create *);
+  Netsim.Train.start t.arrivals ~rng:rng_payload ~rate:payload_rate
+    (payload : [ `Poisson | `Cbr ] :> Netsim.Train.law);
+  t.arrival_last <- true
 
 let note_pend t =
   let pend = Netsim.Fring.length t.pend_t in
@@ -140,9 +120,9 @@ let on_fire t ~now =
     Jitter.latency_at t.jitter t.rng_gateway ~sends_payload ~arrivals_in_window
   in
   let emit_time =
-    Float.max (now +. latency) (Float.Array.get t.regs 2 +. 1e-12)
+    Float.max (now +. latency) (Float.Array.get t.regs 1 +. 1e-12)
   in
-  Float.Array.set t.regs 2 emit_time;
+  Float.Array.set t.regs 1 emit_time;
   let tag =
     if sends_payload then begin
       t.payload_sent <- t.payload_sent + 1;
@@ -167,16 +147,17 @@ let on_fire t ~now =
   Netsim.Fring.push t.pend_tag tag;
   note_pend t;
   (* Sim.every: the fire body runs before the next interval is drawn. *)
-  Float.Array.set t.regs 1 (now +. Timer.draw t.timer t.rng_gateway)
+  Float.Array.set t.regs 0 (now +. Timer.draw t.timer t.rng_gateway)
 
 let advance t ~until =
   t.events <- 0;
+  Netsim.Fvec.clear t.occ;
   Netsim.Fvec.clear t.out_t;
   Netsim.Fvec.clear t.out_tag;
   let continue = ref true in
   while !continue do
-    let ta = Float.Array.get t.regs 0 in
-    let tf = Float.Array.get t.regs 1 in
+    let ta = Netsim.Train.head t.arrivals in
+    let tf = Float.Array.get t.regs 0 in
     let te =
       if Netsim.Fring.is_empty t.pend_t then infinity
       else Netsim.Fring.peek t.pend_t
@@ -191,17 +172,19 @@ let advance t ~until =
       Netsim.Fvec.push t.out_t te;
       Netsim.Fvec.push t.out_tag tag
     end
-    else if ta = m then begin
+    else if ta = m && (tf > m || not t.arrival_last) then begin
       (* payload arrival event: source emit + Gateway.input *)
       t.events <- t.events + 1;
       t.generated <- t.generated + 1;
       Netsim.Fring.push t.window ta;
       Netsim.Fring.push t.queue ta;
-      arrival_next t
+      Netsim.Train.next t.arrivals;
+      t.arrival_last <- true
     end
     else begin
       t.events <- t.events + 1;
-      on_fire t ~now:tf
+      on_fire t ~now:tf;
+      t.arrival_last <- false
     end
   done
 

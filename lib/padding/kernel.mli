@@ -1,8 +1,8 @@
 (** Fused padding-gateway kernel.
 
     Executes the {!Gateway} CIT/VIT state machine as a batch loop over
-    merged time-ordered trains (pre-generated Poisson payload arrivals,
-    timer fires, pending emissions) instead of per-event dispatch.  The
+    merged time-ordered trains (the Poisson or CBR payload arrival
+    {!Netsim.Train}, timer fires, pending emissions) instead of per-event dispatch.  The
     contract is exact equivalence with the event-loop gateway: same RNG
     draws in the same order, bit-identical emission times, occupancy
     observations and counters.  Scratch state is reusable across runs
@@ -13,9 +13,12 @@
     (time, tag) float pair where a payload's tag is its creation time
     and a dummy's tag is NaN.
 
-    Tie rule: at one instant, a pending emission goes first, then a
-    payload arrival, then a timer fire — a payload arriving exactly at a
-    fire is queued before the fire chooses between payload and dummy. *)
+    Tie rule: at one instant, a pending emission goes first.  A payload
+    arrival and a timer fire then go in arming order, as the event
+    loop's queue sequence orders them: the train that re-armed earlier
+    goes first, and at creation the fire is armed before the arrival.
+    Such ties need CBR payload on the CIT timer's lattice; under Poisson
+    payload they have probability zero. *)
 
 type t
 
@@ -24,6 +27,7 @@ val create : unit -> t
     buffer).  One per arena; reconfigured per run. *)
 
 val configure :
+  ?payload:[ `Poisson | `Cbr ] ->
   t ->
   rng_payload:Prng.Rng.t ->
   rng_gateway:Prng.Rng.t ->
@@ -33,11 +37,12 @@ val configure :
   payload_rate:float ->
   unit
 (** Reset the scratch for a new run starting at simulated time 0.
-    Pre-fills the first block of payload inter-arrival draws from
-    [rng_payload] (a dedicated split-off stream, so over-drawing is
-    unobservable) and draws the first timer interval from
-    [rng_gateway] — exactly the draws the event-loop path makes at
-    source/gateway creation. *)
+    [payload] (default [`Poisson]) is the payload source's law at
+    [payload_rate]: Poisson pre-fills the first block of inter-arrival
+    draws from [rng_payload] (a dedicated split-off stream, so
+    over-drawing is unobservable), CBR draws nothing.  Draws the first
+    timer interval from [rng_gateway] — exactly the draws the event-loop
+    path makes at source/gateway creation. *)
 
 val advance : t -> until:float -> unit
 (** Process every arrival, fire and emission event with timestamp <=
@@ -55,8 +60,9 @@ val trace : t -> Netsim.Tracebuf.t
 (** Whole-run deferred [timer.fire] / [packet.sent] trace records. *)
 
 val occupancy : t -> Netsim.Fvec.t
-(** Whole-run queue-occupancy observations (one per fire, pre-pop), for
-    the [padding.gateway.queue_occupancy] histogram flush. *)
+(** This chunk's queue-occupancy observations (one per fire, pre-pop),
+    for the [padding.gateway.queue_occupancy] histogram.  Valid until
+    the next {!advance}. *)
 
 val chunk_events : t -> int
 (** Events the event loop would have dispatched for the last {!advance}

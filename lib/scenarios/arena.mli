@@ -19,7 +19,7 @@ type t = {
   tap_sizes : Netsim.Fvec.t;
   gw : Padding.Gateway.Buffers.t;
   kernel_gw : Padding.Kernel.t;
-      (** fused-gateway scratch for the {!Fastpath} kernel *)
+      (** fused-gateway scratch for {!System.run}'s pipeline *)
   mutable kernel_hops : Netsim.Linkstage.t array;
       (** per-hop fused-link scratch; grown on demand via {!kernel_hops} *)
   kernel_tap_trace : Netsim.Tracebuf.t;

@@ -95,6 +95,14 @@ let with_arena ~scenario ~fresh_arena cfg ~count ~count_error f =
   arm_event_budget arena.Arena.sim;
   f arena
 
+(* The run's payload, gateway and cross streams: three splits off the
+   root, in that order, on both engines. *)
+let streams cfg =
+  let root = Prng.Rng.create ~seed:cfg.seed in
+  let rng_payload = Prng.Rng.split root in
+  let rng_gateway = Prng.Rng.split root in
+  (rng_payload, rng_gateway, Prng.Rng.split root)
+
 (* What sits between the payload source and the chain entry. *)
 type front = {
   input : Netsim.Link.port;
@@ -110,10 +118,7 @@ type front = {
    source) fixes the event queue's seq order, so it never changes. *)
 let assemble arena cfg ~scenario ~count ~expected_rate make_front =
   let sim = arena.Arena.sim in
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
+  let rng_payload, rng_gateway, rng_cross = streams cfg in
   let receiver = Padding.Receiver.create sim () in
   let topo =
     Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
@@ -150,7 +155,10 @@ let assemble arena cfg ~scenario ~count ~expected_rate make_front =
     sim_time = Desim.Sim.now sim;
   }
 
-let padded_event_loop arena cfg ~piats =
+let run_event_loop ?(fresh_arena = false) cfg ~piats =
+  with_arena ~scenario:"system.run" ~fresh_arena cfg ~count:piats
+    ~count_error:"System.run_event_loop: piats < 1"
+  @@ fun arena ->
   assemble arena cfg ~scenario:"system.run" ~count:piats
     ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
     (fun sim ~rng ~dest ->
@@ -164,45 +172,252 @@ let padded_event_loop arena cfg ~piats =
         overhead = (fun () -> Padding.Gateway.overhead gw);
       })
 
-let run_event_loop ?(fresh_arena = false) cfg ~piats =
-  with_arena ~scenario:"system.run" ~fresh_arena cfg ~count:piats
-    ~count_error:"System.run_event_loop: piats < 1"
-  @@ fun arena -> padded_event_loop arena cfg ~piats
+(* The staged pipeline behind [run], the one engine of a padded
+   no-fault run — Poisson or CBR payload, a chain whose cross traffic is
+   absent, Poisson or on/off.  [Padding.Kernel] plays the gateway, one
+   [Netsim.Linkstage] per hop plays link+router+cross source, and
+   [pipeline] plays topology glue, tap, receiver and chunk loop.  The
+   chunk boundaries come from [Starvation.drive], the very same
+   arithmetic the event loop runs, so both engines starve, stop and
+   budget-trip at identical simulated times.
 
-(* The input the pipeline does not model, or [None] when it does. *)
-let pipeline_gap cfg =
-  if cfg.payload_model <> Poisson_payload then Some "cbr_payload"
-  else if not (Fastpath.eligible_hops cfg.hops) then Some "onoff_cross"
-  else None
+   Same-instant events follow a fixed tie rule: departures first on every
+   link (as [Netsim.Link] does on the event loop), upstream input before a
+   cross tick, a payload arrival and a timer fire in arming order, and
+   equal trace keys in pipeline order.  Everything observable is
+   buffered stage-locally and flushed at the end — registry counters as
+   batched adds, the ta-trace/1 stream as a key-ordered merge of
+   per-stage deferred buffers — except the gateway's occupancy
+   histogram, observed after each chunk. *)
+
+let m_runs = Obs.Metrics.counter "desim.kernel.runs"
+
+(* Registry handles for the batched flush; registration is idempotent,
+   these are the same metrics the event-loop components update. *)
+let m_gw_fires = Obs.Metrics.counter "padding.gateway.fires"
+let m_gw_payload = Obs.Metrics.counter "padding.gateway.payload_sent"
+let m_gw_dummy = Obs.Metrics.counter "padding.gateway.dummy_sent"
+let h_gw_occupancy = Obs.Metrics.histogram "padding.gateway.queue_occupancy"
+let m_link_enqueued = Obs.Metrics.counter "netsim.link.enqueued"
+let m_link_dropped = Obs.Metrics.counter "netsim.link.dropped"
+let g_link_hwm = Obs.Metrics.gauge "netsim.link.queue_hwm"
+let h_utilization = Obs.Metrics.histogram "netsim.link.utilization"
+
+(* K-way merge of the per-stage deferred trace buffers by insertion-time
+   key, replayed through the live trace sink.  Keys are monotone within
+   a buffer; [bufs] is in pipeline order, and an equal key goes to the
+   lowest buffer index, so same-instant records from different stages
+   come out in pipeline order. *)
+let merge_traces bufs =
+  let k = Array.length bufs in
+  let idx = Array.make k 0 in
+  let remaining = ref 0 in
+  Array.iter (fun b -> remaining := !remaining + Netsim.Tracebuf.length b) bufs;
+  while !remaining > 0 do
+    let best = ref (-1) in
+    let best_key = ref infinity in
+    for j = 0 to k - 1 do
+      if idx.(j) < Netsim.Tracebuf.length bufs.(j) then begin
+        let key = Netsim.Tracebuf.key bufs.(j) idx.(j) in
+        if !best < 0 || key < !best_key then begin
+          best := j;
+          best_key := key
+        end
+      end
+    done;
+    Netsim.Tracebuf.emit bufs.(!best) idx.(!best);
+    idx.(!best) <- idx.(!best) + 1;
+    remaining := !remaining - 1
+  done
+
+let pipeline arena cfg ~piats =
+  let { hops; tap_position; packet_size; _ } = cfg in
+  Netsim.Topology.validate ~hops ~tap_position;
+  let n = Array.length hops in
+  let sim = arena.Arena.sim in
+  let rng_payload, rng_gateway, rng_cross = streams cfg in
+  let cross_rngs = Netsim.Topology.cross_streams ~rng:rng_cross hops in
+  let kgw = arena.Arena.kernel_gw in
+  Padding.Kernel.configure kgw ~rng_payload ~rng_gateway ~timer:cfg.timer
+    ~jitter:cfg.jitter ~packet_size ~payload_rate:cfg.payload_rate_pps
+    ~payload:
+      (match cfg.payload_model with
+      | Poisson_payload -> `Poisson
+      | Cbr_payload -> `Cbr);
+  let stages = Arena.kernel_hops arena n in
+  let in_t = ref (Padding.Kernel.out_times kgw) in
+  let in_tag = ref (Padding.Kernel.out_tags kgw) in
+  for i = 0 to n - 1 do
+    let h = hops.(i) in
+    let cross, burst =
+      match (h.Netsim.Topology.cross, cross_rngs.(i)) with
+      | Some { rate_pps; size_bytes; burst }, Some rng ->
+          (Some (rng, rate_pps, size_bytes), burst)
+      | _ -> (None, `Poisson)
+    in
+    Netsim.Linkstage.configure ~burst stages.(i)
+      ~bandwidth_bps:h.Netsim.Topology.bandwidth_bps
+      ~propagation:h.Netsim.Topology.propagation
+      ~queue_limit:h.Netsim.Topology.queue_limit ~packet_size ~cross
+      ~in_t:!in_t ~in_tag:!in_tag;
+    in_t := Netsim.Linkstage.out_times stages.(i);
+    in_tag := Netsim.Linkstage.out_tags stages.(i)
+  done;
+  (* Inline tap and receiver state. *)
+  Netsim.Fvec.clear arena.Arena.tap_times;
+  Netsim.Fvec.clear arena.Arena.tap_sizes;
+  Netsim.Tracebuf.clear arena.Arena.kernel_tap_trace;
+  let tap_payload = ref 0 and tap_dummy = ref 0 in
+  let payload_received = ref 0 and dummy_received = ref 0 in
+  let latency_acc = Stats.Descriptive.Acc.create () in
+  let size_f = float_of_int packet_size in
+  let absorb_tap times tags =
+    let len = Netsim.Fvec.length times in
+    for i = 0 to len - 1 do
+      let t = Netsim.Fvec.unsafe_get times i in
+      let tag = Netsim.Fvec.unsafe_get tags i in
+      let dummy = Float.is_nan tag in
+      if dummy then incr tap_dummy else incr tap_payload;
+      if Obs.Trace.enabled () then
+        Netsim.Tracebuf.push arena.Arena.kernel_tap_trace ~key:t
+          ~code:
+            (if dummy then Netsim.Tracebuf.observe_dummy
+             else Netsim.Tracebuf.observe_payload)
+          ~x:size_f ~y:0.0;
+      Netsim.Fvec.push arena.Arena.tap_times t;
+      Netsim.Fvec.push arena.Arena.tap_sizes size_f
+    done
+  in
+  let absorb_receiver times tags =
+    let len = Netsim.Fvec.length times in
+    for i = 0 to len - 1 do
+      let t = Netsim.Fvec.unsafe_get times i in
+      let tag = Netsim.Fvec.unsafe_get tags i in
+      if Float.is_nan tag then incr dummy_received
+      else begin
+        incr payload_received;
+        (* Receiver.port: latency observed at the delivery event. *)
+        Stats.Descriptive.Acc.add latency_acc (t -. tag)
+      end
+    done
+  in
+  (* Event-queue-depth surrogate for the desim.queue_hwm gauge: the two
+     periodic source records plus one per cross source, plus the pending
+     emission / in-flight transmission high-water marks.  Deterministic
+     per config (jobs-invariant) but NOT the event loop's exact
+     interleaved depth; excluded from the differential contract. *)
+  let n_cross =
+    Array.fold_left
+      (fun acc (h : Netsim.Topology.hop_spec) ->
+        if h.Netsim.Topology.cross = None then acc else acc + 1)
+      0 hops
+  in
+  let queue_hwm_surrogate () =
+    let acc = ref (2 + n_cross + Padding.Kernel.max_pending kgw) in
+    for i = 0 to n - 1 do
+      acc := !acc + Netsim.Linkstage.max_pending stages.(i)
+    done;
+    !acc
+  in
+  let flush ~with_utilization ~publish ~now =
+    if Obs.Trace.enabled () then
+      (* Pipeline order: gateway, hops before the tap, tap, hops after. *)
+      merge_traces
+        (Array.init (n + 2) (fun i ->
+             if i = 0 then Padding.Kernel.trace kgw
+             else if i = tap_position + 1 then arena.Arena.kernel_tap_trace
+             else if i <= tap_position then Netsim.Linkstage.trace stages.(i - 1)
+             else Netsim.Linkstage.trace stages.(i - 2)));
+    Obs.Metrics.add m_gw_fires (Padding.Kernel.fires kgw);
+    Obs.Metrics.add m_gw_payload (Padding.Kernel.payload_sent kgw);
+    Obs.Metrics.add m_gw_dummy (Padding.Kernel.dummy_sent kgw);
+    for i = 0 to n - 1 do
+      let st = stages.(i) in
+      Obs.Metrics.add m_link_enqueued (Netsim.Linkstage.enqueued st);
+      Obs.Metrics.add m_link_dropped (Netsim.Linkstage.dropped st);
+      let hwm = Netsim.Linkstage.queue_hwm st in
+      if hwm > 0 then Obs.Metrics.observe_hwm g_link_hwm (float_of_int hwm)
+    done;
+    if with_utilization then
+      (* Topology.stop_cross observes every router, in chain order. *)
+      for i = 0 to n - 1 do
+        Obs.Metrics.observe h_utilization
+          (Netsim.Linkstage.utilization stages.(i) ~now)
+      done;
+    Netsim.Tap.note_batch
+      ~observed:(!tap_payload + !tap_dummy)
+      ~payload:!tap_payload ~dummy:!tap_dummy;
+    if publish then Desim.Sim.publish_metrics sim
+  in
+  let advance until =
+    Padding.Kernel.advance kgw ~until;
+    (* Per chunk, not a run-long buffer: same observations, same order. *)
+    let occ = Padding.Kernel.occupancy kgw in
+    for i = 0 to Netsim.Fvec.length occ - 1 do
+      Obs.Metrics.observe h_gw_occupancy (Netsim.Fvec.unsafe_get occ i)
+    done;
+    let events = ref (Padding.Kernel.chunk_events kgw) in
+    if tap_position = 0 then
+      absorb_tap (Padding.Kernel.out_times kgw) (Padding.Kernel.out_tags kgw);
+    for i = 0 to n - 1 do
+      Netsim.Linkstage.advance stages.(i) ~until;
+      events := !events + Netsim.Linkstage.chunk_events stages.(i);
+      if tap_position = i + 1 then
+        absorb_tap
+          (Netsim.Linkstage.out_times stages.(i))
+          (Netsim.Linkstage.out_tags stages.(i))
+    done;
+    (if n = 0 then
+       absorb_receiver (Padding.Kernel.out_times kgw)
+         (Padding.Kernel.out_tags kgw)
+     else
+       absorb_receiver
+         (Netsim.Linkstage.out_times stages.(n - 1))
+         (Netsim.Linkstage.out_tags stages.(n - 1)));
+    Desim.Sim.account_external sim ~events:!events
+      ~queue_hwm:(queue_hwm_surrogate ());
+    (* Advances the clock to the chunk boundary and enforces the event
+       budget with the event loop's chunk granularity and totals.  On a
+       budget trip, flush what the event loop would already have
+       published incrementally (no [publish_metrics] — the event loop
+       does not publish on this path either), then re-raise. *)
+    try Desim.Sim.run_until sim ~time:until
+    with Desim.Sim.Event_budget_exceeded _ as e ->
+      flush ~with_utilization:false ~publish:false ~now:(Desim.Sim.now sim);
+      raise e
+  in
+  Starvation.drive ~scenario:"system.run" ~slack:1.1 ~min_chunk:0.1
+    ~now:(fun () -> Desim.Sim.now sim)
+    ~count:(fun () -> Netsim.Fvec.length arena.Arena.tap_times)
+    ~advance
+    ~on_starve:(fun () ->
+      (* The event loop's starve path never reaches stop_cross, so no
+         utilization observations — flush everything else. *)
+      flush ~with_utilization:false ~publish:true ~now:(Desim.Sim.now sim))
+    ~target:(tap_target cfg ~count:piats)
+    ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
+    ();
+  let now = Desim.Sim.now sim in
+  flush ~with_utilization:true ~publish:true ~now;
+  Obs.Metrics.incr m_runs;
+  let piats, timestamps =
+    observed cfg ~count:piats (Netsim.Fvec.to_array arena.Arena.tap_times)
+  in
+  {
+    piats;
+    timestamps;
+    overhead = Padding.Kernel.overhead kgw;
+    payload_offered = Padding.Kernel.generated kgw;
+    payload_delivered = !payload_received;
+    payload_dropped_gw = 0;
+    mean_payload_latency = Stats.Descriptive.Acc.mean latency_acc;
+    sim_time = now;
+  }
 
 let run ?(fresh_arena = false) cfg ~piats =
   with_arena ~scenario:"system.run" ~fresh_arena cfg ~count:piats
     ~count_error:"System.run: piats < 1"
-  @@ fun arena ->
-  match pipeline_gap cfg with
-  | Some reason ->
-      Fastpath.note_fallback ~reason;
-      padded_event_loop arena cfg ~piats
-  | None ->
-      let o =
-        Fastpath.run ~arena ~scenario:"system.run" ~seed:cfg.seed
-          ~timer:cfg.timer ~jitter:cfg.jitter
-          ~payload_rate_pps:cfg.payload_rate_pps ~packet_size:cfg.packet_size
-          ~hops:cfg.hops ~tap_position:cfg.tap_position
-          ~target:(tap_target cfg ~count:piats)
-          ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
-      in
-      let piats, timestamps = observed cfg ~count:piats o.Fastpath.timestamps in
-      {
-        piats;
-        timestamps;
-        overhead = o.Fastpath.overhead;
-        payload_offered = o.Fastpath.payload_offered;
-        payload_delivered = o.Fastpath.payload_delivered;
-        payload_dropped_gw = 0;
-        mean_payload_latency = o.Fastpath.mean_payload_latency;
-        sim_time = o.Fastpath.sim_time;
-      }
+  @@ fun arena -> pipeline arena cfg ~piats
 
 (* Intra-run domain sharding: one logical PIAT collection split into
    [shards] independent simulations with index-derived seeds, fanned out

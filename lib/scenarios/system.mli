@@ -52,20 +52,31 @@ val run : ?fresh_arena:bool -> config -> piats:int -> result
     identical to a fresh simulator but without re-growing storage on every
     run of a sweep; [fresh_arena:true] forces brand-new state.
 
-    Runs with Poisson payload and cross traffic absent or Poisson — the
-    no-fault common case — execute on the staged {!Fastpath} pipeline;
-    [desim.kernel.runs] counts them.  CBR payload and on/off cross
-    traffic take {!run_event_loop}, counted in
-    [desim.kernel.fallbacks{reason=cbr_payload|onoff_cross}].  Both
-    paths follow the same tie rule for same-instant events (see
-    {!Fastpath}) and give bit-identical results and metric totals, except
-    that the pipeline reports a deterministic surrogate for the
-    [desim.queue_hwm] event-queue gauge. *)
+    Every run executes on the staged pipeline — {!Padding.Kernel} for
+    the gateway, one {!Netsim.Linkstage} per hop, an inline tap and
+    receiver — whatever the payload model and cross-traffic laws;
+    [desim.kernel.runs] counts the runs.  The contract is exact
+    equivalence with {!run_event_loop}: same RNG draws in the same
+    order, bit-identical results, metric totals and trace bytes at any
+    [--jobs], except that the pipeline reports a deterministic surrogate
+    for the [desim.queue_hwm] event-queue gauge.
+
+    Both engines follow one tie rule for same-instant events.  On every
+    link, departures first ({!Netsim.Link} keeps it too).  A hop's
+    upstream input goes before its cross tick, a pair that coincides
+    with probability zero under Poisson and on/off cross traffic.  A
+    payload arrival and a timer fire go in arming order, as the event
+    loop's queue sequence orders them ({!Padding.Kernel}); CBR payload
+    under CIT puts them on one lattice.  Trace records with equal
+    insertion keys come out in pipeline order — gateway, the hops before
+    the tap, the tap, the hops after it; the event loop emits them in
+    scheduling order, so with event times on a shared lattice (e.g.
+    jitterless CIT whose period equals a hop's transmit time) its
+    equal-timestamp lines can come in another order. *)
 
 val run_event_loop : ?fresh_arena:bool -> config -> piats:int -> result
-(** {!run} on the discrete-event simulator, whatever the configuration:
-    the path {!run} itself takes for CBR payload and on/off cross
-    traffic, and the reference the pipeline is tested against.  Same
+(** {!run} on the discrete-event simulator: the independent reference
+    the pipeline is tested against.  Same
     arguments and trace run name as {!run}; raises
     [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] as
     {!run} does. *)

@@ -1,6 +1,6 @@
 (* Staged pipeline: the differential contract.
 
-   [System.run]'s pipeline path must be observably indistinguishable
+   [System.run]'s pipeline must be observably indistinguishable
    from [System.run_event_loop] — same RNG draws in the same order,
    bit-identical result fields, metric totals and ta-trace/1 bytes, at
    any worker count, through checkpoint/resume.  Both engines follow one
@@ -123,6 +123,20 @@ let onoff_cross =
    scheduling order — the same multiset of lines. *)
 type trace_check = Bytes | Multiset
 
+let cbr rate =
+  {
+    System.default_config with
+    payload_model = System.Cbr_payload;
+    payload_rate_pps = rate;
+  }
+
+let chain_loaded_hops =
+  [|
+    hop ();
+    hop ~prop:0.002 ~cross:(poisson_cross 150.0) ();
+    hop ~bw:400_000.0 ~qlimit:3 ~cross:(poisson_cross 200.0) ();
+  |]
+
 (* Every pipeline configuration shape: CIT and all VIT laws, all jitter
    models, no hops / loaded chain / mid-chain tap / propagation /
    queue-limit drops, plus the shapes whose ties the shared rule orders:
@@ -140,7 +154,15 @@ type trace_check = Bytes | Multiset
    - tandem_qlimit1: chain_midtap's shape with queue_limit 1 on the
      plain hops, where departures first decides accept vs drop, and a
      slower last hop that drops;
-   - fig8b WAN paths at 04:00 and 16:00. *)
+   - fig8b WAN paths at 04:00 and 16:00;
+   - CBR payload under CIT 10 ms, whose arrivals land exactly on timer
+     fires now and then (at 10 pps first at 17.8 s, hence the longer
+     run; at 40 pps at 0.05 s and 0.15 s; at 100 pps on every fire; at
+     200 pps at 0.01, 0.02, 0.04 and 0.08 s), where the kernel breaks an
+     arrival/fire tie by arming order, and CBR through chain_loaded's
+     hops;
+   - on/off cross traffic, exponential and Pareto phases, on a hop it
+     loads past capacity while on. *)
 let configs =
   let base = System.default_config in
   let wan hour =
@@ -179,16 +201,7 @@ let configs =
       400,
       Bytes );
     ( "chain_loaded",
-      {
-        base with
-        hops =
-          [|
-            hop ();
-            hop ~prop:0.002 ~cross:(poisson_cross 150.0) ();
-            hop ~bw:400_000.0 ~qlimit:3 ~cross:(poisson_cross 200.0) ();
-          |];
-        tap_position = 3;
-      },
+      { base with hops = chain_loaded_hops; tap_position = 3 },
       400,
       Bytes );
     ( "chain_midtap",
@@ -240,6 +253,31 @@ let configs =
       Bytes );
     ("fig8b_wan_0400", wan 4.0, 40, Bytes);
     ("fig8b_wan_1600", wan 16.0, 40, Bytes);
+    ("cbr_10pps", cbr 10.0, 2000, Bytes);
+    ("cbr_40pps", cbr 40.0, 400, Bytes);
+    ("cbr_100pps", cbr 100.0, 400, Bytes);
+    ("cbr_200pps", cbr 200.0, 400, Bytes);
+    ( "cbr_chain_loaded",
+      { (cbr 40.0) with hops = chain_loaded_hops; tap_position = 3 },
+      400,
+      Bytes );
+    ( "onoff_cross",
+      { base with hops = [| hop ~cross:onoff_cross () |]; tap_position = 1 },
+      400,
+      Bytes );
+    ( "onoff_pareto_cross",
+      {
+        base with
+        hops =
+          [|
+            hop
+              ~cross:{ onoff_cross with burst = `On_off (0.05, 0.2, Some 1.5) }
+              ();
+          |];
+        tap_position = 1;
+      },
+      400,
+      Bytes );
   ]
 
 let config name =
@@ -266,7 +304,6 @@ let counter name =
   Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ()) name
 
 let kernel_runs () = counter "desim.kernel.runs"
-let fallbacks reason = counter ("desim.kernel.fallbacks{reason=" ^ reason ^ "}")
 
 (* [f ()] with the ta-trace/1 stream captured; returns its bytes. *)
 let capture_trace f =
@@ -384,23 +421,18 @@ let test_differential_sharded_jobs () =
   if Stdlib.compare reference.System.piats evloop <> 0 then
     Alcotest.fail "sharded pipeline PIATs differ from the event loop's"
 
-let test_fallback_reasons () =
-  (* Inputs the pipeline does not model take the event loop and say why. *)
+let test_kernel_runs_counted () =
+  (* CBR payload and on/off cross run on the pipeline like every other
+     input: one desim.kernel.runs per System.run call. *)
   Obs.Metrics.reset ();
-  let cbr = { System.default_config with payload_model = System.Cbr_payload } in
-  ignore (System.run cbr ~piats:50 : System.result);
-  Alcotest.(check int) "cbr fallback" 1 (fallbacks "cbr_payload");
-  Obs.Metrics.reset ();
-  let onoff =
-    {
-      System.default_config with
-      hops = [| hop ~cross:onoff_cross () |];
-      tap_position = 1;
-    }
+  let names =
+    [ "cbr_100pps"; "cbr_chain_loaded"; "onoff_cross"; "onoff_pareto_cross" ]
   in
-  ignore (System.run onoff ~piats:50 : System.result);
-  Alcotest.(check int) "on/off fallback" 1 (fallbacks "onoff_cross");
-  Alcotest.(check int) "no kernel runs" 0 (kernel_runs ())
+  List.iter
+    (fun name -> ignore (System.run (config name) ~piats:50 : System.result))
+    names;
+  Alcotest.(check int)
+    "one pipeline run per call" (List.length names) (kernel_runs ())
 
 let test_checkpoint_resume_mixed_paths () =
   (* Kill-resume through Sweep.mapi: half the points journaled by a
@@ -463,6 +495,123 @@ let test_checkpoint_resume_mixed_paths () =
               first_kernel resume_kernel))
     [ (true, false); (false, true) ]
 
+let test_onoff_validation () =
+  (* Both engines reject a bad on/off spec in Topology.validate, before
+     any source starts, with the same message. *)
+  let run_both burst =
+    let cfg =
+      {
+        System.default_config with
+        hops = [| hop ~cross:{ onoff_cross with burst } () |];
+        tap_position = 1;
+      }
+    in
+    let outcome engine =
+      match engine ?fresh_arena:None cfg ~piats:10 with
+      | exception Invalid_argument msg -> msg
+      | _ -> "accepted"
+    in
+    (outcome System.run, outcome System.run_event_loop)
+  in
+  List.iter
+    (fun (burst, msg) ->
+      let on_pipeline, on_event_loop = run_both burst in
+      Alcotest.(check string) "pipeline" msg on_pipeline;
+      Alcotest.(check string) "event loop" msg on_event_loop)
+    (let means = "Topology.chain: on/off period means must be positive" in
+     [
+       (`On_off (0.0, 0.4, None), means);
+       (`On_off (0.1, -1.0, None), means);
+       (`On_off (0.1, Float.nan, None), means);
+       (`On_off (0.1, 0.4, Some 1.0), "Topology.chain: pareto_shape <= 1");
+     ])
+
+(* --- oracles that do not compare the two engines --- *)
+
+(* [f ()] and the change of counter [name] across it. *)
+let counter_delta name f =
+  let before = counter name in
+  let r = f () in
+  (r, counter name - before)
+
+let prop_cbr_cit =
+  (* CBR payload at rate λ <= 1/τ under CIT τ: the tap PIATs telescope
+     to τ plus the difference of two gateway latencies (µs-scale, < 1 ms)
+     over n, and each fire sends the queued payload if there is one, so
+     the dummy count is the fire count minus the arrivals it served:
+     (1 − λτ)·fires to within one packet. *)
+  QCheck.Test.make ~name:"CBR under CIT: PIAT mean = tau, overhead = 1 - lambda tau"
+    ~count:20
+    QCheck.(pair (int_range 0 10_000) (float_range 1.0 100.0))
+    (fun (seed, rate) ->
+      let tau = 0.010 in
+      let cfg = { (cbr rate) with seed } in
+      let n = 400 in
+      let r, fires =
+        counter_delta "padding.gateway.fires" (fun () -> System.run cfg ~piats:n)
+      in
+      let span = r.System.timestamps.(n) -. r.System.timestamps.(0) in
+      let mean = span /. float_of_int n in
+      let fires = float_of_int fires in
+      let dummies = r.System.overhead *. fires in
+      Float.abs (mean -. tau) < 1e-3 /. float_of_int n
+      && Float.abs (dummies -. ((1.0 -. (rate *. tau)) *. fires)) <= 1.0 +. 1e-6)
+
+let prop_onoff_rate =
+  (* [Traffic_gen.on_off] emits Poisson(λ_on) during an on phase D_on,
+     then stays silent until its next gap lands past the phase end (a
+     residual R ~ Exp(λ_on)) and for the off phase D_off after that.  As
+     a renewal-reward process over cycles C = D_on + R + D_off with
+     N_c ~ Poisson(λ_on·D_on) packets, its count over T has mean λT,
+     λ = λ_on·m_on/E[C], give or take one cycle's packets for the start
+     in phase, and variance ~ T·Var(N_c − λC)/E[C].  The count is read
+     off the link: enqueued packets (no queue limit, so no drops) minus
+     the padded ones (one per fire, give or take the last emission).
+     R is why λ falls short of rate_pps by the factor
+     (m_on + m_off)/(m_on + m_off + 1/λ_on). *)
+  QCheck.Test.make ~name:"on/off hop: offered cross rate within 5 sigma" ~count:10
+    QCheck.(
+      quad (int_range 0 10_000) (float_range 50.0 300.0) (float_range 0.005 0.05)
+        (float_range 0.005 0.05))
+    (fun (seed, rate_pps, m_on, m_off) ->
+      let cfg =
+        {
+          System.default_config with
+          seed;
+          hops =
+            [|
+              hop ~bw:10_000_000.0
+                ~cross:
+                  {
+                    Netsim.Topology.rate_pps;
+                    size_bytes = 400;
+                    burst = `On_off (m_on, m_off, None);
+                  }
+                ();
+            |];
+          tap_position = 1;
+        }
+      in
+      let (r, enqueued), fires =
+        counter_delta "padding.gateway.fires" (fun () ->
+            counter_delta "netsim.link.enqueued" (fun () ->
+                System.run cfg ~piats:400))
+      in
+      let t = r.System.sim_time in
+      let rate_on = rate_pps *. (m_on +. m_off) /. m_on in
+      let cycle = m_on +. (1.0 /. rate_on) +. m_off in
+      let rate = rate_on *. m_on /. cycle in
+      let var_c = (m_on *. m_on) +. (1.0 /. (rate_on *. rate_on)) +. (m_off *. m_off) in
+      let var_x =
+        (rate_on *. m_on)
+        +. (rate_on *. rate_on *. m_on *. m_on)
+        +. (rate *. rate *. var_c)
+        -. (2.0 *. rate *. rate_on *. m_on *. m_on)
+      in
+      let sigma = sqrt (t *. var_x /. cycle) in
+      let cross = float_of_int (enqueued - fires) in
+      Float.abs (cross -. (rate *. t)) <= (5.0 *. sigma) +. (rate_on *. m_on) +. 1.0)
+
 let suite =
   [
     Alcotest.test_case "exponential_fill bit-equality" `Quick
@@ -481,7 +630,11 @@ let suite =
       test_differential_sharded_jobs;
     Alcotest.test_case "differential: default trace shares keys" `Quick
       test_default_trace_shares_keys;
-    Alcotest.test_case "fallback reasons counted" `Quick test_fallback_reasons;
+    Alcotest.test_case "runs counted for CBR, on/off" `Quick
+      test_kernel_runs_counted;
     Alcotest.test_case "checkpoint resume across paths" `Quick
       test_checkpoint_resume_mixed_paths;
+    Alcotest.test_case "on/off spec rejected by both" `Quick test_onoff_validation;
+    QCheck_alcotest.to_alcotest prop_cbr_cit;
+    QCheck_alcotest.to_alcotest prop_onoff_rate;
   ]
