@@ -101,7 +101,6 @@ let port t = send t
 let sent t = t.sent
 let dropped t = t.dropped
 let queue_depth t = depth_at t (Desim.Sim.now t.sim)
-let busy_until t = t.busy_until
 
 let utilization t =
   let elapsed = Desim.Sim.now t.sim -. t.created_at in

@@ -43,8 +43,5 @@ val queue_depth : t -> int
     packet whose transmission finishes at the current instant no longer
     counts. *)
 
-val busy_until : t -> float
-(** Time at which the transmitter frees up (<= now when idle). *)
-
 val utilization : t -> float
 (** Fraction of elapsed time (since creation) the wire was transmitting. *)

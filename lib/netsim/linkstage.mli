@@ -3,18 +3,23 @@
     events.
 
     Per chunk the stage merges the padded sends handed down by the
-    upstream stage with the hop's own cross arrival {!Train} and
-    the pending transmit-finish / propagation-delivery trains, replaying
+    upstream stage with the hop's own cross arrival {!Train} and its
+    pending transmit finishes and far-end deliveries, replaying
     {!Link.send}'s float arithmetic exactly — same busy-interval
     accumulation, same drop decisions, same counters.  Packets are
     (time, tag) float pairs: payload tag = creation time, dummy = NaN,
     cross = -inf; cross packets are diverted at the link exit exactly as
-    the router does.  Scratch is reusable across runs and the
-    steady-state loop performs no allocation.
+    the router does.  Storage is one ring of finish times by enqueue
+    sequence number, walked by a finished and a delivered cursor, plus a
+    (seq, tag) side queue for padded packets.  Scratch is reusable across
+    runs and the steady-state loop allocates nothing, also where calls
+    are not inlined across modules.
 
     Same-instant events follow {!Link}'s departures-first rule: transmit
     finishes and far-end deliveries at [t] go before an upstream send at
-    [t], and an upstream send at [t] goes before a cross tick at [t]. *)
+    [t], and an upstream send at [t] goes before a cross tick at [t].
+    {!advance} runs the cross ticks between two input sends in one inner
+    loop; one loop serves every hop kind. *)
 
 type t
 

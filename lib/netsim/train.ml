@@ -41,6 +41,7 @@ let create () =
   }
 
 let head t = Float.Array.unsafe_get t.regs 0
+let head_cell t = t.regs
 let emits t = t.emits
 
 (* Same draws as [Traffic_gen.on_off]'s phase length: exponential, or

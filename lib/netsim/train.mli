@@ -27,6 +27,10 @@ val stop : t -> unit
 val head : t -> float
 (** Time of the next event. *)
 
+val head_cell : t -> floatarray
+(** Read-only registers whose slot 0 is {!head}: a loop elsewhere reads
+    the head without a call, whose float result would be boxed. *)
+
 val emits : t -> bool
 (** Whether the head event sends a packet.  Always [true] for Poisson
     and CBR; on/off phase ends and phase starts are events that send

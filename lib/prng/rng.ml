@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256++ words, unboxed in a 32-byte buffer: a [mutable
+   int64] record field would box a fresh int64 on every store. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SplitMix64 step: used to expand the seed into the four xoshiro words and
    to derive split children.  Constants from Steele, Lea & Flood (2014). *)
@@ -11,43 +16,43 @@ let splitmix_next state =
   logxor z (shift_right_logical z 31)
 
 let of_sm64 state =
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
+  let t = Bytes.create 32 in
   (* xoshiro must not be seeded with the all-zero state; SplitMix64 cannot
      produce four zero outputs in a row, so this is safe by construction. *)
-  { s0; s1; s2; s3 }
+  for i = 0 to 3 do
+    set t (8 * i) (splitmix_next state)
+  done;
+  t
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
   of_sm64 state
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 8 (logxor s1 s2);
+  set t 0 (logxor s0 s3);
+  set t 16 (logxor s2 (shift_left s1 17));
+  set t 24 (rotl s3 45);
   result
 
 let split t =
   let state = ref (bits64 t) in
   of_sm64 state
 
-let float t =
-  (* 53 high bits -> [0,1) *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+(* 53 high bits -> [0,1); an int below 2^53 converts to float exactly. *)
+let[@inline] float t = float_of_int (bits53 t) *. 0x1.0p-53
 
 let rec float_pos t =
   let u = float t in
@@ -57,21 +62,20 @@ let float_range t ~lo ~hi =
   assert (lo <= hi);
   lo +. ((hi -. lo) *. float t)
 
-(* Rejection sampling on the top bits to avoid modulo bias.  Top-level
-   (rather than an inner [let rec] closing over the locals) so the
-   per-arrival hot path pays no closure allocation — [Rng.int] sits in
-   the A001 closure of [Mux.handle_arrival]. *)
-let rec reject_draw t ~limit ~bound64 =
-  let v = Int64.shift_right_logical (bits64 t) 1 in
-  if v >= limit then reject_draw t ~limit ~bound64
-  else Int64.to_int (Int64.rem v bound64)
-
+(* Rejection sampling on the top bits to avoid modulo bias.  A loop over
+   a local rather than a recursive helper: the int64 bounds would be boxed
+   as arguments on every call, and [Rng.int] sits in the A001 closure of
+   [Mux.handle_arrival]. *)
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let bound64 = Int64.of_int bound in
   let max64 = Int64.max_int in
   let limit = Int64.sub max64 (Int64.rem max64 bound64) in
-  reject_draw t ~limit ~bound64
+  let v = ref (Int64.shift_right_logical (bits64 t) 1) in
+  while !v >= limit do
+    v := Int64.shift_right_logical (bits64 t) 1
+  done;
+  Int64.to_int (Int64.rem !v bound64)
 
 let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 

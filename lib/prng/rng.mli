@@ -7,7 +7,11 @@
 
     Generators are mutable; use {!split} to derive statistically independent
     child generators for parallel or per-component streams (e.g. one stream
-    per traffic source) without sharing state. *)
+    per traffic source) without sharing state.
+
+    The state is four xoshiro words unboxed in a 32-byte buffer: a step
+    allocates nothing, so {!bits53} and {!int} never touch the minor
+    heap and {!bits64} / {!float} box only a result that is not inlined. *)
 
 type t
 (** Mutable generator state. *)
@@ -25,6 +29,11 @@ val split : t -> t
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
+
+val bits53 : t -> int
+(** The 53 high bits of the next {!bits64} output, which {!float} scales
+    by 2{^-53}.  An [int] is never boxed, even across a call that is not
+    inlined. *)
 
 val float : t -> float
 (** Uniform float in [0, 1) with 53-bit resolution. *)

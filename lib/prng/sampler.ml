@@ -34,6 +34,12 @@ let exponential rng ~rate =
   if not (rate > 0.0) then invalid_arg "Sampler.exponential: rate <= 0";
   -.log (Rng.float_pos rng) /. rate
 
+(* [Rng.float_pos] on the int draw (u > 0 iff its bits are), so no float
+   crosses a call boundary and the fill allocates nothing. *)
+let rec pos_bits53 rng =
+  let b = Rng.bits53 rng in
+  if b > 0 then b else pos_bits53 rng
+
 let exponential_fill rng ~rate buf ~n =
   if not (rate > 0.0) then invalid_arg "Sampler.exponential_fill: rate <= 0";
   if Float.Array.length buf = 0 then
@@ -43,7 +49,8 @@ let exponential_fill rng ~rate buf ~n =
   (* Same expression as [exponential], minus the per-draw validation: the
      filled buffer is bit-identical to n scalar calls on the same rng. *)
   for i = 0 to n - 1 do
-    Float.Array.unsafe_set buf i (-.log (Rng.float_pos rng) /. rate)
+    let u = float_of_int (pos_bits53 rng) *. 0x1.0p-53 in
+    Float.Array.unsafe_set buf i (-.log u /. rate)
   done
 
 let pareto rng ~shape ~scale =
@@ -51,14 +58,38 @@ let pareto rng ~shape ~scale =
   if scale <= 0.0 then invalid_arg "Sampler.pareto: scale <= 0";
   scale /. (Rng.float_pos rng ** (1.0 /. shape))
 
+let rec factorial k = if k < 2 then 1 else k * factorial (k - 1)
+
+(* log k!: exact below 10, Stirling's series beyond (error < 1e-10). *)
+let log_factorial k =
+  if k < 10 then log (float_of_int (factorial k))
+  else
+    let n = float_of_int k in
+    let r = 1.0 /. (n *. n) in
+    ((n +. 0.5) *. log n) -. n +. 0.918938533204672742
+    +. ((1.0 -. (r *. ((1.0 /. 30.0) -. (r /. 105.0)))) /. (12.0 *. n))
+
+(* PTRS, Hörmann (1993): transformed rejection with squeeze, exact for
+   mean >= 10; [b] and the constants below are the paper's. *)
+let rec ptrs rng ~mean ~b =
+  let a = -0.059 +. (0.02483 *. b) and vr = 0.9277 -. (3.6224 /. (b -. 2.0)) in
+  let u = Rng.float rng -. 0.5 in
+  let v = Rng.float rng in
+  let us = 0.5 -. Float.abs u in
+  let k = Float.floor ((((2.0 *. a /. us) +. b) *. u) +. mean +. 0.43) in
+  if us >= 0.07 && v <= vr then int_of_float k
+  else if k < 0.0 || (us < 0.013 && v > us) then ptrs rng ~mean ~b
+  else
+    let inv_alpha = 1.1239 +. (1.1328 /. (b -. 3.4)) in
+    if log (v *. inv_alpha /. ((a /. (us *. us)) +. b))
+       <= (k *. log mean) -. mean -. log_factorial (int_of_float k)
+    then int_of_float k
+    else ptrs rng ~mean ~b
+
 let poisson rng ~mean =
   if mean < 0.0 then invalid_arg "Sampler.poisson: mean < 0";
   if mean = 0.0 then 0
-  else if mean > 60.0 then
-    (* Normal approximation; adequate for the cross-traffic batch sizes
-       used in the scenarios and avoids O(mean) work. *)
-    let x = normal rng ~mu:mean ~sigma:(sqrt mean) in
-    Stdlib.max 0 (int_of_float (Float.round x))
+  else if mean > 60.0 then ptrs rng ~mean ~b:(0.931 +. (2.53 *. sqrt mean))
   else
     let limit = exp (-.mean) in
     let rec count k prod =

@@ -32,8 +32,9 @@ val pareto : Rng.t -> shape:float -> scale:float -> float
     [shape > 0], [scale > 0].  Heavy-tailed on/off periods. *)
 
 val poisson : Rng.t -> mean:float -> int
-(** Poisson counts.  Knuth multiplication for small means, normal
-    approximation with continuity correction for [mean > 60]. [mean >= 0]. *)
+(** Poisson counts, exact at every mean: Knuth multiplication for
+    [mean <= 60], Hörmann's PTRS transformed rejection (1993) above.
+    [mean >= 0]. *)
 
 val geometric : Rng.t -> p:float -> int
 (** Number of failures before first success, [0 < p <= 1]. *)

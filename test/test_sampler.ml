@@ -168,6 +168,59 @@ let test_shuffle_uniform_first_element () =
   Alcotest.(check bool) "first slot uniform" true
     (res.Stats.Hypothesis.p_value > 0.001)
 
+(* Above mean 60 the sampler is PTRS, exact in distribution: over many
+   seeds, sample mean and variance stay within 5 standard errors of the
+   mean (Var s^2 ~ (mean + 2 mean^2) / n for a Poisson law) ... *)
+let prop_poisson_ptrs_moments =
+  QCheck.Test.make ~name:"poisson PTRS mean and variance within 5 sigma"
+    ~count:10 QCheck.int (fun seed ->
+      let r = Prng.Rng.create ~seed in
+      let n = 20_000 in
+      let nf = float_of_int n in
+      List.for_all
+        (fun mean ->
+          let acc =
+            moments n (fun () -> float_of_int (Prng.Sampler.poisson r ~mean))
+          in
+          let m = Stats.Descriptive.Acc.mean acc in
+          let v = Stats.Descriptive.Acc.variance acc in
+          Float.abs (m -. mean) <= 5.0 *. sqrt (mean /. nf)
+          && Float.abs (v -. mean)
+             <= 5.0 *. sqrt ((mean +. (2.0 *. mean *. mean)) /. nf))
+        [ 61.0; 100.0; 1e4 ])
+
+(* ... and at mean 100 the counts fit the pmf: one bin per k in
+   [70, 130] plus the two tails, chi-square p-value above 1e-6.  At
+   2e5 draws this rejects the normal approximation the sampler used to
+   take above mean 60 (its skew is off by 1/sqrt mean). *)
+let prop_poisson_ptrs_chi_square =
+  QCheck.Test.make ~name:"poisson PTRS chi-square vs pmf at mean 100"
+    ~count:5 QCheck.int (fun seed ->
+      let r = Prng.Rng.create ~seed in
+      let mean = 100.0 and lo = 70 and hi = 130 and n = 200_000 in
+      let pmf k =
+        exp ((float_of_int k *. log mean) -. mean
+             -. Stats.Special.log_gamma (float_of_int (k + 1)))
+      in
+      let bins = hi - lo + 3 in
+      (* bin 0: k < lo; bin k - lo + 1: lo <= k <= hi; last: k > hi *)
+      let bin k = if k < lo then 0 else if k > hi then bins - 1 else k - lo + 1 in
+      let observed = Array.make bins 0 in
+      for _ = 1 to n do
+        let b = bin (Prng.Sampler.poisson r ~mean) in
+        observed.(b) <- observed.(b) + 1
+      done;
+      let p = Array.init bins (fun b -> if b = 0 || b = bins - 1 then 0.0 else pmf (b + lo - 1)) in
+      let below = ref 0.0 in
+      for k = 0 to lo - 1 do
+        below := !below +. pmf k
+      done;
+      p.(0) <- !below;
+      p.(bins - 1) <- 1.0 -. Array.fold_left ( +. ) 0.0 p;
+      let expected = Array.map (fun q -> q *. float_of_int n) p in
+      let res = Stats.Hypothesis.chi_square_gof ~observed ~expected in
+      res.Stats.Hypothesis.p_value > 1e-6)
+
 let suite =
   [
     Alcotest.test_case "normal moments" `Quick test_normal_moments;
@@ -189,4 +242,6 @@ let suite =
     Alcotest.test_case "categorical invalid" `Quick test_categorical_invalid;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
     Alcotest.test_case "shuffle uniform" `Quick test_shuffle_uniform_first_element;
+    QCheck_alcotest.to_alcotest prop_poisson_ptrs_moments;
+    QCheck_alcotest.to_alcotest prop_poisson_ptrs_chi_square;
   ]
