@@ -186,15 +186,12 @@ let run_figures () =
 
 (* --- Bechamel micro-benchmarks of the hot kernels --- *)
 
-(* Fused-kernel path vs the event loop on the same ~1e6-event run (40k
-   pps payload through a 10k fires/s gateway for ~167k PIATs).  Both
-   paths produce bit-identical results; the kernel/eventloop ns ratio is
-   the fused-dispatch speedup.  Jitter.none, not the default mechanistic
-   model: at this payload rate the IRQ blocking sum costs hundreds of
-   exponential draws per fire on BOTH paths and would swamp the dispatch
-   difference this micro isolates.  Payload at 4x the fire rate weights
-   the mix toward arrival events, the cheapest path through the fused
-   kernel. *)
+(* The gateway kernel on a ~1e6-event run (40k pps payload through a
+   10k fires/s gateway for ~167k PIATs).  Jitter.none, not the default
+   mechanistic model: at this payload rate the IRQ blocking sum costs
+   hundreds of exponential draws per fire and would swamp the dispatch
+   cost this micro isolates.  Payload at 4x the fire rate weights the
+   mix toward arrival events, the cheapest path through the kernel. *)
 let kernel_micro_cfg timer =
   {
     Scenarios.System.default_config with
@@ -207,11 +204,8 @@ let kernel_micro_cfg timer =
 let cit_1e6_cfg = kernel_micro_cfg (Padding.Timer.Constant 1e-4)
 let vit_1e6_cfg = kernel_micro_cfg (Padding.Timer.Exponential { mean = 1e-4 })
 
-let run_1e6 cfg ~kernel =
-  let run =
-    if kernel then Scenarios.System.run else Scenarios.System.run_event_loop
-  in
-  ignore (run cfg ~piats:167_000 : Scenarios.System.result)
+let run_1e6 cfg =
+  ignore (Scenarios.System.run cfg ~piats:167_000 : Scenarios.System.result)
 
 let micro_tests () =
   let open Bechamel in
@@ -274,13 +268,9 @@ let micro_tests () =
             (* Accumulated fp drift can push the 1000th tick just past 1.0. *)
             assert (abs (!n - 1000) <= 1))));
     Test.make ~name:"kernel.cit_1e6"
-      (Staged.stage (fun () -> run_1e6 cit_1e6_cfg ~kernel:true));
-    Test.make ~name:"eventloop.cit_1e6"
-      (Staged.stage (fun () -> run_1e6 cit_1e6_cfg ~kernel:false));
+      (Staged.stage (fun () -> run_1e6 cit_1e6_cfg));
     Test.make ~name:"kernel.vit_1e6"
-      (Staged.stage (fun () -> run_1e6 vit_1e6_cfg ~kernel:true));
-    Test.make ~name:"eventloop.vit_1e6"
-      (Staged.stage (fun () -> run_1e6 vit_1e6_cfg ~kernel:false));
+      (Staged.stage (fun () -> run_1e6 vit_1e6_cfg));
     Test.make ~name:"system.run_tiny"
       (Staged.stage (fun () ->
            ignore
@@ -307,18 +297,6 @@ let micro_tests () =
            Desim.Sim.run_until sim ~time:1.0;
            Netsim.Traffic_gen.stop src;
            Padding.Gateway.stop gw));
-    Test.make ~name:"router.cross_1k_packets"
-      (Staged.stage (fun () ->
-           let sim = Desim.Sim.create () in
-           let router =
-             Netsim.Router.create sim ~bandwidth_bps:622e6 ~dest:(fun _ -> ()) ()
-           in
-           for _ = 0 to 999 do
-             Netsim.Router.port router
-               (Netsim.Packet.make ~kind:Netsim.Packet.Cross ~size_bytes:500
-                  ~created:(Desim.Sim.now sim))
-           done;
-           Desim.Sim.run_until sim ~time:1.0));
     Test.make ~name:"stats.stream_mean_var_1k"
       (Staged.stage (fun () ->
            let m = Stats.Stream.Moments.create () in

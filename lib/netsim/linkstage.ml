@@ -1,5 +1,6 @@
 (* Fused per-hop stage: one chain hop's {Link + Router + cross source}
-   executed as a batch loop instead of discrete events.
+   executed as a batch loop instead of discrete events (the event-loop
+   link and router are the reference in test/evloop/).
 
    The stage merges the padded sends handed down by the upstream stage,
    this hop's cross [Train] and its pending transmit finishes and

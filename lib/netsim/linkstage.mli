@@ -1,11 +1,12 @@
-(** Fused chain-hop kernel: one hop's {!Link} + {!Router} + Poisson or
+(** Fused chain-hop kernel: one hop's link, router and Poisson or
     on/off cross source executed as a batch loop instead of discrete
-    events.
+    events.  The event-loop link and router it replays live in
+    [test/evloop/] as the reference it is tested against.
 
     Per chunk the stage merges the padded sends handed down by the
     upstream stage with the hop's own cross arrival {!Train} and its
     pending transmit finishes and far-end deliveries, replaying
-    {!Link.send}'s float arithmetic exactly — same busy-interval
+    the event-loop [Link.send]'s float arithmetic exactly — same busy-interval
     accumulation, same drop decisions, same counters.  Packets are
     (time, tag) float pairs: payload tag = creation time, dummy = NaN,
     cross = -inf; cross packets are diverted at the link exit exactly as
@@ -15,7 +16,7 @@
     runs and the steady-state loop allocates nothing, also where calls
     are not inlined across modules.
 
-    Same-instant events follow {!Link}'s departures-first rule: transmit
+    Same-instant events follow the link's departures-first rule: transmit
     finishes and far-end deliveries at [t] go before an upstream send at
     [t], and an upstream send at [t] goes before a cross tick at [t].
     {!advance} runs the cross ticks between two input sends in one inner
@@ -80,5 +81,5 @@ val max_pending : t -> int
     an input to the orchestrator's event-queue-depth surrogate. *)
 
 val utilization : t -> now:float -> float
-(** {!Link.utilization} evaluated with identical float expressions at
-    simulated time [now]. *)
+(** The event-loop [Link.utilization] evaluated with identical float
+    expressions at simulated time [now]. *)

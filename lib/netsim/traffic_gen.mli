@@ -46,24 +46,6 @@ val poisson_sized :
     return positive sizes) — variable-size payload for the size-padding
     extension. *)
 
-val on_off :
-  Desim.Sim.t ->
-  rng:Prng.Rng.t ->
-  rate_on_pps:float ->
-  mean_on:float ->
-  mean_off:float ->
-  ?pareto_shape:float ->
-  size_bytes:int ->
-  kind:Packet.kind ->
-  dest:Link.port ->
-  unit ->
-  t
-(** Bursty on/off source: during ON periods, Poisson at [rate_on_pps];
-    OFF periods silent.  Period lengths are exponential with the given
-    means, or Pareto with [pareto_shape] (> 1) and matching means for the
-    self-similar cross traffic of campus/WAN scenarios.  Long-run average
-    rate = rate_on_pps * mean_on / (mean_on + mean_off). *)
-
 val modulated_poisson :
   Desim.Sim.t ->
   rng:Prng.Rng.t ->

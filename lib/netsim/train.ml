@@ -6,7 +6,7 @@
    Poisson and CBR intervals come in blocks: exponential draws filled
    from the source's dedicated stream (over-drawing it is unobservable),
    or the constant period with no draws.  An on/off source takes one
-   scalar step per event in [Traffic_gen.on_off]'s draw order, and two
+   scalar step per event in the event-loop on/off source's draw order, and two
    of its events per cycle emit nothing: the burst tick that lands at or
    past the phase end, and the next phase start. *)
 
@@ -44,7 +44,7 @@ let head t = Float.Array.unsafe_get t.regs 0
 let head_cell t = t.regs
 let emits t = t.emits
 
-(* Same draws as [Traffic_gen.on_off]'s phase length: exponential, or
+(* Same draws as the event-loop on/off source's phase length: exponential, or
    Pareto scaled to the same mean. *)
 let period rng ~mean = function
   | None -> Prng.Sampler.exponential rng ~rate:(1.0 /. mean)

@@ -3,8 +3,9 @@
     every event time is bit-identical to the {!Traffic_gen} source with
     the same law and stream — {!Traffic_gen.poisson} (intervals
     block-filled from the stream), {!Traffic_gen.cbr} (no draws) and
-    {!Traffic_gen.on_off} as {!Topology} starts it (one scalar step per
-    event, in its draw order).  {!next} performs no allocation. *)
+    the event-loop on/off source kept as the reference in [test/evloop/]
+    (one scalar step per event, in its draw order).  {!next} performs
+    no allocation. *)
 
 type law = [ `Poisson | `Cbr | `On_off of float * float * float option ]
 (** [`On_off (mean_on, mean_off, pareto_shape)] as in

@@ -19,8 +19,7 @@ module Buffers : sig
   (** The gateway's growable per-instance state (payload queue, arrival
       window, pending-emission ring).  Sweep harnesses keep one [Buffers.t]
       per worker and pass it to successive gateways so steady-state storage
-      is allocated once, not once per run.  {!Adaptive} reuses the same
-      triple. *)
+      is allocated once, not once per run. *)
 
   val create : unit -> t
 

@@ -13,6 +13,11 @@
    payload-extra normal is drawn) and are therefore made scalar, in fire
    order, exactly as the event loop makes them.
 
+   The adaptive variant replaces the timer law by Timmerman-style rate
+   tracking: after each fire the next interval comes from the payload
+   arrivals in the last [window] and the backlog, clamped to the period
+   band, and the jitter draw sees no IRQ-blocking arrivals.
+
    Same-instant events: a pending emission goes first (the event loop
    pushed it before the coinciding fire's queue record, and its order
    against an arrival is unobservable: disjoint state, no trace record
@@ -21,11 +26,18 @@
    train re-armed first goes first.  At creation the gateway arms its
    fire before the source arms its arrival. *)
 
+type adaptive = {
+  min_period : float;
+  max_period : float;
+  window : float;
+  target_queue : float;
+}
+
 type t = {
   regs : floatarray; (* 0 next_fire, 1 last_emit *)
   arrivals : Netsim.Train.t; (* payload arrivals *)
   queue : Netsim.Fring.t; (* queued payload creation times *)
-  window : Netsim.Fring.t; (* arrivals in the IRQ blocking window *)
+  window : Netsim.Fring.t; (* arrivals in the IRQ blocking (or rate) window *)
   pend_t : Netsim.Fring.t; (* pending emissions awaiting their latency *)
   pend_tag : Netsim.Fring.t;
   occ : Netsim.Fvec.t; (* this chunk's queue-occupancy observations *)
@@ -34,6 +46,7 @@ type t = {
   trace : Netsim.Tracebuf.t;
   mutable rng_gateway : Prng.Rng.t;
   mutable timer : Timer.law;
+  mutable adaptive : adaptive option; (* replaces [timer] when set *)
   mutable jitter : Jitter.t;
   mutable packet_size : int;
   mutable arrival_last : bool; (* arrivals re-armed after the timer *)
@@ -60,6 +73,7 @@ let create () =
     trace = Netsim.Tracebuf.create ();
     rng_gateway = dummy_rng;
     timer = Timer.Constant 0.010;
+    adaptive = None;
     jitter = Jitter.none;
     packet_size = 500;
     arrival_last = true;
@@ -71,8 +85,12 @@ let create () =
     events = 0;
   }
 
-let configure ?(payload = `Poisson) t ~rng_payload ~rng_gateway ~timer ~jitter
-    ~packet_size ~payload_rate =
+let configure ?(payload = `Poisson) ?adaptive t ~rng_payload ~rng_gateway ~timer
+    ~jitter ~packet_size ~payload_rate =
+  (match adaptive with
+  | Some (a : adaptive) when a.window <= 0.0 ->
+      invalid_arg "Kernel.configure: window <= 0"
+  | _ -> ());
   Netsim.Fring.clear t.queue;
   Netsim.Fring.clear t.window;
   Netsim.Fring.clear t.pend_t;
@@ -83,6 +101,7 @@ let configure ?(payload = `Poisson) t ~rng_payload ~rng_gateway ~timer ~jitter
   Netsim.Tracebuf.clear t.trace;
   t.rng_gateway <- rng_gateway;
   t.timer <- timer;
+  t.adaptive <- adaptive;
   t.jitter <- jitter;
   t.packet_size <- packet_size;
   t.fires <- 0;
@@ -92,8 +111,12 @@ let configure ?(payload = `Poisson) t ~rng_payload ~rng_gateway ~timer ~jitter
   t.max_pend <- 0;
   t.events <- 0;
   (* First fire and first payload arrival are both scheduled at creation
-     time (simulated 0.0) as clock +. first draw, the arrival last. *)
-  Float.Array.set t.regs 0 (0.0 +. Timer.draw timer rng_gateway);
+     time (simulated 0.0) as clock +. first interval, the arrival last.
+     The adaptive gateway starts at its longest period and draws nothing. *)
+  Float.Array.set t.regs 0
+    (match adaptive with
+    | None -> 0.0 +. Timer.draw timer rng_gateway
+    | Some a -> 0.0 +. a.max_period);
   Float.Array.set t.regs 1 0.0 (* last_emit <- Sim.now at create *);
   Netsim.Train.start t.arrivals ~rng:rng_payload ~rate:payload_rate
     (payload : [ `Poisson | `Cbr ] :> Netsim.Train.law);
@@ -103,18 +126,40 @@ let note_pend t =
   let pend = Netsim.Fring.length t.pend_t in
   if pend > t.max_pend then t.max_pend <- pend
 
+(* Forget the arrivals before [start]. *)
+let prune t ~start =
+  while
+    (not (Netsim.Fring.is_empty t.window))
+    && Netsim.Fring.peek t.window < start
+  do
+    ignore (Netsim.Fring.pop t.window : float)
+  done
+
+(* The adaptive controller after a fire at [now]: aim the send rate
+   slightly above the payload rate estimated over the window so the
+   backlog stays near [target_queue], clamp the period to the band, and
+   arm the next fire one period on. *)
+let adapt t (a : adaptive) ~now =
+  prune t ~start:(now -. a.window);
+  let rate = float_of_int (Netsim.Fring.length t.window) /. a.window in
+  let backlog = float_of_int (Netsim.Fring.length t.queue) in
+  let pressure = 1.0 +. (0.5 *. (backlog -. a.target_queue)) in
+  let desired_rate = Float.max 1.0 (rate *. Float.max pressure 0.1) in
+  let p = 1.0 /. desired_rate in
+  Float.Array.set t.regs 0
+    (now +. Float.min a.max_period (Float.max a.min_period p))
+
 (* Replays [Gateway.on_fire] at fire time [now]. *)
 let on_fire t ~now =
   t.fires <- t.fires + 1;
   Netsim.Fvec.push t.occ (float_of_int (Netsim.Fring.length t.queue));
-  let window_start = now -. Jitter.irq_window in
-  while
-    (not (Netsim.Fring.is_empty t.window))
-    && Netsim.Fring.peek t.window < window_start
-  do
-    ignore (Netsim.Fring.pop t.window : float)
-  done;
-  let arrivals_in_window = Netsim.Fring.length t.window in
+  let arrivals_in_window =
+    match t.adaptive with
+    | Some _ -> 0
+    | None ->
+        prune t ~start:(now -. Jitter.irq_window);
+        Netsim.Fring.length t.window
+  in
   let sends_payload = not (Netsim.Fring.is_empty t.queue) in
   let latency =
     Jitter.latency_at t.jitter t.rng_gateway ~sends_payload ~arrivals_in_window
@@ -147,7 +192,9 @@ let on_fire t ~now =
   Netsim.Fring.push t.pend_tag tag;
   note_pend t;
   (* Sim.every: the fire body runs before the next interval is drawn. *)
-  Float.Array.set t.regs 0 (now +. Timer.draw t.timer t.rng_gateway)
+  match t.adaptive with
+  | None -> Float.Array.set t.regs 0 (now +. Timer.draw t.timer t.rng_gateway)
+  | Some a -> adapt t a ~now
 
 let advance t ~until =
   t.events <- 0;

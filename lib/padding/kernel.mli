@@ -22,12 +22,30 @@
 
 type t
 
+type adaptive = {
+  min_period : float;
+  max_period : float;
+  window : float;  (** rate-estimation horizon, seconds *)
+  target_queue : float;  (** backlog the controller aims to keep, packets *)
+}
+(** Timmerman-style adaptive traffic masking (paper §2, ref [23]), the
+    bandwidth-saving alternative the paper argues against.  The first
+    fire is at [max_period].  After each fire the period becomes
+    min(max_period, max(min_period, 1/r)) with
+    r = max(1, rate·max(0.1, 1 + (backlog − target_queue)/2)), where
+    rate is the payload arrivals in the last [window] over [window] and
+    backlog the queue left after the fire.  The padded stream's mean
+    PIAT then tracks the payload rate: the leak this variant exists to
+    measure.  The caller validates the band; {!configure} rejects a
+    window that is not positive. *)
+
 val create : unit -> t
 (** Allocate reusable scratch storage (rings, stream buffers, trace
     buffer).  One per arena; reconfigured per run. *)
 
 val configure :
   ?payload:[ `Poisson | `Cbr ] ->
+  ?adaptive:adaptive ->
   t ->
   rng_payload:Prng.Rng.t ->
   rng_gateway:Prng.Rng.t ->
@@ -42,7 +60,10 @@ val configure :
     draws from [rng_payload] (a dedicated split-off stream, so
     over-drawing is unobservable), CBR draws nothing.  Draws the first
     timer interval from [rng_gateway] — exactly the draws the event-loop
-    path makes at source/gateway creation. *)
+    path makes at source/gateway creation.  With [adaptive] the timer law
+    is ignored: fires follow the adaptive controller, and each jitter
+    draw sees no arrivals in the IRQ blocking window
+    ([arrivals_in_window = 0]). *)
 
 val advance : t -> until:float -> unit
 (** Process every arrival, fire and emission event with timestamp <=

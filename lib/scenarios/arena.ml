@@ -6,6 +6,8 @@ type t = {
   kernel_gw : Padding.Kernel.t;
   mutable kernel_hops : Netsim.Linkstage.t array;
   kernel_tap_trace : Netsim.Tracebuf.t;
+  source : Netsim.Source.t;
+  batch : Padding.Batch.t;
 }
 
 let fresh () =
@@ -17,6 +19,8 @@ let fresh () =
     kernel_gw = Padding.Kernel.create ();
     kernel_hops = [||];
     kernel_tap_trace = Netsim.Tracebuf.create ();
+    source = Netsim.Source.create ();
+    batch = Padding.Batch.create ();
   }
 
 (* One arena per domain: Exec.Pool workers never share a simulator, and a

@@ -24,6 +24,8 @@ type t = {
       (** per-hop fused-link scratch; grown on demand via {!kernel_hops} *)
   kernel_tap_trace : Netsim.Tracebuf.t;
       (** deferred [tap.observe] records for the kernel's inline tap *)
+  source : Netsim.Source.t;  (** payload source stage of unpadded and mix runs *)
+  batch : Padding.Batch.t;  (** threshold-mix stage of {!System.run_mix} *)
 }
 
 val get : fresh:bool -> t
@@ -33,8 +35,8 @@ val get : fresh:bool -> t
     that need two concurrent simulations on one domain). *)
 
 val tap_buffers : t -> Netsim.Fvec.t * Netsim.Fvec.t
-(** The [(times, sizes)] pair for {!Netsim.Topology.chain}'s
-    [tap_buffers]. *)
+(** The [(times, sizes)] recording pair, for a {!Netsim.Tap}'s
+    [buffers]. *)
 
 val kernel_hops : t -> int -> Netsim.Linkstage.t array
 (** [kernel_hops t n] returns the per-hop kernel scratch array grown to

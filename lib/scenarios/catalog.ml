@@ -44,16 +44,28 @@ let fleet = { id = "fleet"; offset = 21 }
 let ablations = { id = "ablations"; offset = 9 }
 let ablations_seed = 51_000
 
+(* Each ablation under its own [ablations.<id>] span, so a profile shows
+   what the stage's time went to. *)
 let run_ablations ~scale ~seed fmt =
-  ignore (Ablations.run_jitter_models ~scale ~seed fmt);
-  ignore (Ablations.run_vit_laws ~scale ~seed:(seed + 1) fmt);
-  ignore (Ablations.run_entropy_bins ~scale ~seed:(seed + 2) fmt);
-  ignore (Ablations.run_tap_positions ~scale ~seed:(seed + 3) fmt);
-  ignore (Ablations.run_oracle_vs_kde ~scale ~seed:(seed + 4) fmt);
-  ignore (Ablations.run_adaptive_vs_cit ~scale ~seed:(seed + 5) fmt);
-  ignore (Ablations_ext.run_classifier_backends ~scale ~seed:(seed + 6) fmt);
-  ignore (Ablations_ext.run_mix_vs_padding ~scale ~seed:(seed + 7) fmt);
-  ignore (Ablations_ext.run_size_padding ~seed:(seed + 9) fmt);
-  ignore (Ablations_ext.run_roc ~scale ~seed:(seed + 10) fmt);
-  Ablations_ext.run_bounds_table fmt;
-  ignore (Ablations_ext.run_qos_table ~seed:(seed + 8) fmt)
+  let ablation id f = Obs.span ("ablations." ^ id) f in
+  ablation "jitter_models" (fun () ->
+      ignore (Ablations.run_jitter_models ~scale ~seed fmt));
+  ablation "vit_laws" (fun () ->
+      ignore (Ablations.run_vit_laws ~scale ~seed:(seed + 1) fmt));
+  ablation "entropy_bins" (fun () ->
+      ignore (Ablations.run_entropy_bins ~scale ~seed:(seed + 2) fmt));
+  ablation "tap_positions" (fun () ->
+      ignore (Ablations.run_tap_positions ~scale ~seed:(seed + 3) fmt));
+  ablation "oracle_vs_kde" (fun () ->
+      ignore (Ablations.run_oracle_vs_kde ~scale ~seed:(seed + 4) fmt));
+  ablation "adaptive_vs_cit" (fun () ->
+      ignore (Ablations.run_adaptive_vs_cit ~scale ~seed:(seed + 5) fmt));
+  ablation "classifier_backends" (fun () ->
+      ignore (Ablations_ext.run_classifier_backends ~scale ~seed:(seed + 6) fmt));
+  ablation "mix_vs_padding" (fun () ->
+      ignore (Ablations_ext.run_mix_vs_padding ~scale ~seed:(seed + 7) fmt));
+  ablation "size_padding" (fun () ->
+      ignore (Ablations_ext.run_size_padding ~seed:(seed + 9) fmt));
+  ablation "roc" (fun () -> ignore (Ablations_ext.run_roc ~scale ~seed:(seed + 10) fmt));
+  ablation "bounds" (fun () -> Ablations_ext.run_bounds_table fmt);
+  ablation "qos" (fun () -> ignore (Ablations_ext.run_qos_table ~seed:(seed + 8) fmt))

@@ -144,7 +144,7 @@ let run_faulty cfg ~piats =
       ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
       ~kind:Netsim.Packet.Payload ~dest:(Faults.Crash.input crash) ()
   in
-  let target = piats + cfg.warmup_piats + 2 in
+  let target = System.tap_target ~warmup:cfg.warmup_piats ~count:piats in
   let fire_rate = 1.0 /. Padding.Timer.mean cfg.timer in
   let survive =
     (1.0 -. Faults.Lossy.expected_loss_rate p.loss)
@@ -156,20 +156,9 @@ let run_faulty cfg ~piats =
   Faults.Crash.stop crash;
   Faults.Outage.stop_flapping outage;
   Desim.Sim.publish_metrics sim;
-  let timestamps = Netsim.Tap.timestamps tap in
-  let drop = cfg.warmup_piats + 1 in
-  let n = Array.length timestamps in
-  let timestamps =
-    if n <= drop then [||] else Array.sub timestamps drop (n - drop)
-  in
-  let all_piats =
-    let n = Array.length timestamps in
-    if n < 2 then [||]
-    else Array.init (n - 1) (fun i -> timestamps.(i + 1) -. timestamps.(i))
-  in
-  let piats_arr =
-    if Array.length all_piats > piats then Array.sub all_piats 0 piats
-    else all_piats
+  let piats_arr, _ =
+    System.observed ~warmup:cfg.warmup_piats ~count:piats
+      (Netsim.Tap.timestamps tap)
   in
   {
     piats = piats_arr;

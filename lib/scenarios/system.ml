@@ -42,25 +42,13 @@ let validate cfg =
   if cfg.packet_size <= 0 then invalid_arg "System: packet_size <= 0";
   if cfg.warmup_piats < 0 then invalid_arg "System: warmup_piats < 0"
 
-let start_payload_source sim ~model ~rng ~rate_pps ~size_bytes ~dest =
-  match model with
-  | Poisson_payload ->
-      Netsim.Traffic_gen.poisson sim ~rng ~rate_pps ~size_bytes
-        ~kind:Netsim.Packet.Payload ~dest ()
-  | Cbr_payload ->
-      Netsim.Traffic_gen.cbr sim ~rate_pps ~size_bytes
-        ~kind:Netsim.Packet.Payload ~dest ()
-
-let trim_warmup cfg timestamps =
-  (* Dropping the first (warmup+1) timestamps drops the first warmup PIATs. *)
-  let drop = cfg.warmup_piats + 1 in
-  let n = Array.length timestamps in
-  if n <= drop then [||] else Array.sub timestamps drop (n - drop)
-
-(* The post-warm-up tap times and exactly [count] PIATs from them: the
-   chunked drive may stop a few observations past the target. *)
-let observed cfg ~count raw =
-  let timestamps = trim_warmup cfg raw in
+(* Dropping the first (warmup+1) timestamps drops the first warmup PIATs;
+   the chunked drive may stop a few observations past the target, so
+   exactly [count] PIATs are cut from what is left. *)
+let observed ~warmup ~count raw =
+  let drop = warmup + 1 in
+  let n = Array.length raw in
+  let timestamps = if n <= drop then [||] else Array.sub raw drop (n - drop) in
   let n = Array.length timestamps in
   let piats =
     Array.init
@@ -71,7 +59,7 @@ let observed cfg ~count raw =
 
 (* [count] gaps need count + 1 timestamps after the trim drops warmup + 1
    of them; chunked running may stop exactly on target. *)
-let tap_target cfg ~count = count + cfg.warmup_piats + 2
+let tap_target ~warmup ~count = count + warmup + 2
 
 (* Supervision hook: when a sweep runner installed a per-task event
    budget (Exec.Supervise.with_event_budget), arm the simulator's
@@ -82,113 +70,21 @@ let arm_event_budget sim =
   | Some max_events -> Desim.Sim.set_event_budget sim ~max_events
   | None -> ()
 
-(* The prologue every runner shares: validation, one trace run named
-   after the [scenario], and this domain's arena with the supervising
-   sweep's event budget armed. *)
-let with_arena ~scenario ~fresh_arena cfg ~count ~count_error f =
-  validate cfg;
-  if count < 1 then invalid_arg count_error;
-  Obs.Trace.with_run
-    (Printf.sprintf "%s seed=%d pps=%g" scenario cfg.seed cfg.payload_rate_pps)
-  @@ fun () ->
-  let arena = Arena.get ~fresh:fresh_arena in
-  arm_event_budget arena.Arena.sim;
-  f arena
-
-(* The run's payload, gateway and cross streams: three splits off the
-   root, in that order, on both engines. *)
-let streams cfg =
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  (rng_payload, rng_gateway, Prng.Rng.split root)
-
-(* What sits between the payload source and the chain entry. *)
-type front = {
-  input : Netsim.Link.port;
-  stop : unit -> unit;
-  overhead : unit -> float;
-}
-
-(* The event-driven assembly behind every runner: source -> [front] ->
-   chain -> receiver as simulator records, dispatched one event at a
-   time until the tap holds [count] post-warm-up gaps, or raising
-   [Starvation.Tap_starved] when padded traffic stops reaching the tap.
-   The creation order (receiver, chain and its cross sources, front,
-   source) fixes the event queue's seq order, so it never changes. *)
-let assemble arena cfg ~scenario ~count ~expected_rate make_front =
-  let sim = arena.Arena.sim in
-  let rng_payload, rng_gateway, rng_cross = streams cfg in
-  let receiver = Padding.Receiver.create sim () in
-  let topo =
-    Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
-      ~tap_position:cfg.tap_position
-      ~tap_buffers:(Arena.tap_buffers arena)
-      ~dest:(Padding.Receiver.port receiver)
-      ()
-  in
-  let front = make_front sim ~rng:rng_gateway ~dest:topo.Netsim.Topology.entry in
-  let source =
-    start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:front.input
-  in
-  Starvation.run_until_tap_count ~scenario ~slack:1.1 ~min_chunk:0.1 sim
-    ~tap:topo.Netsim.Topology.tap ~target:(tap_target cfg ~count)
-    ~expected_rate;
-  Netsim.Traffic_gen.stop source;
-  front.stop ();
-  Netsim.Topology.stop_cross topo;
-  Desim.Sim.publish_metrics sim;
-  let piats, timestamps =
-    observed cfg ~count (Netsim.Tap.timestamps topo.Netsim.Topology.tap)
-  in
-  {
-    piats;
-    timestamps;
-    overhead = front.overhead ();
-    payload_offered = Netsim.Traffic_gen.generated source;
-    payload_delivered = Padding.Receiver.payload_received receiver;
-    (* No runner sets a gateway queue limit, so no gateway drops. *)
-    payload_dropped_gw = 0;
-    mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
-    sim_time = Desim.Sim.now sim;
-  }
-
-let run_event_loop ?(fresh_arena = false) cfg ~piats =
-  with_arena ~scenario:"system.run" ~fresh_arena cfg ~count:piats
-    ~count_error:"System.run_event_loop: piats < 1"
-  @@ fun arena ->
-  assemble arena cfg ~scenario:"system.run" ~count:piats
-    ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
-    (fun sim ~rng ~dest ->
-      let gw =
-        Padding.Gateway.create sim ~rng ~timer:cfg.timer ~jitter:cfg.jitter
-          ~packet_size:cfg.packet_size ~buffers:arena.Arena.gw ~dest ()
-      in
-      {
-        input = Padding.Gateway.input gw;
-        stop = (fun () -> Padding.Gateway.stop gw);
-        overhead = (fun () -> Padding.Gateway.overhead gw);
-      })
-
-(* The staged pipeline behind [run], the one engine of a padded
-   no-fault run — Poisson or CBR payload, a chain whose cross traffic is
-   absent, Poisson or on/off.  [Padding.Kernel] plays the gateway, one
-   [Netsim.Linkstage] per hop plays link+router+cross source, and
-   [pipeline] plays topology glue, tap, receiver and chunk loop.  The
-   chunk boundaries come from [Starvation.drive], the very same
-   arithmetic the event loop runs, so both engines starve, stop and
-   budget-trip at identical simulated times.
+(* The staged pipeline behind every entry point: a front stage chosen by
+   the entry point ([Padding.Kernel] for a fixed or adaptive timer
+   gateway, the payload [Netsim.Source] alone or feeding a
+   [Padding.Batch] mix), one [Netsim.Linkstage] per hop, and an inline
+   tap and receiver.  The chunk boundaries come from [Starvation.drive],
+   the arithmetic the event-loop reference runs too, so both starve,
+   stop and budget-trip at identical simulated times.
 
    Same-instant events follow a fixed tie rule: departures first on every
-   link (as [Netsim.Link] does on the event loop), upstream input before a
-   cross tick, a payload arrival and a timer fire in arming order, and
-   equal trace keys in pipeline order.  Everything observable is
-   buffered stage-locally and flushed at the end — registry counters as
-   batched adds, the ta-trace/1 stream as a key-ordered merge of
-   per-stage deferred buffers — except the gateway's occupancy
-   histogram, observed after each chunk. *)
+   link, upstream input before a cross tick, a payload arrival and a
+   timer fire in arming order, and equal trace keys in pipeline order.
+   Everything observable is buffered stage-locally and flushed at the
+   end — registry counters as batched adds, the ta-trace/1 stream as a
+   key-ordered merge of per-stage deferred buffers — except the
+   gateway's occupancy histogram, observed after each chunk. *)
 
 let m_runs = Obs.Metrics.counter "desim.kernel.runs"
 
@@ -202,6 +98,101 @@ let m_link_enqueued = Obs.Metrics.counter "netsim.link.enqueued"
 let m_link_dropped = Obs.Metrics.counter "netsim.link.dropped"
 let g_link_hwm = Obs.Metrics.gauge "netsim.link.queue_hwm"
 let h_utilization = Obs.Metrics.histogram "netsim.link.utilization"
+
+(* The one shape of a pipeline stage.  [advance] runs the stage to a
+   chunk boundary, leaving the chunk's (time, tag) output in [out_times]
+   / [out_tags]; [trace] is its whole-run deferred trace buffer, if it
+   records any; [chunk_events] is what the event loop would have
+   dispatched for the chunk; [max_pending] is its share of the
+   event-queue-depth surrogate (its periodic event records plus its
+   pending-event high-water mark); [flush] folds its counters into the
+   registry at the end of the run, with the link utilization when
+   [with_utilization]. *)
+type stage = {
+  advance : float -> unit;
+  out_times : Netsim.Fvec.t;
+  out_tags : Netsim.Fvec.t;
+  trace : Netsim.Tracebuf.t option;
+  chunk_events : unit -> int;
+  max_pending : unit -> int;
+  flush : with_utilization:bool -> now:float -> unit;
+}
+
+(* A timer gateway, fixed or adaptive: the payload arrivals and timer
+   fires in one loop, as arming order decides their ties. *)
+let kernel_stage k =
+  {
+    advance =
+      (fun until ->
+        Padding.Kernel.advance k ~until;
+        (* Per chunk, not a run-long buffer: same observations, same order. *)
+        let occ = Padding.Kernel.occupancy k in
+        for i = 0 to Netsim.Fvec.length occ - 1 do
+          Obs.Metrics.observe h_gw_occupancy (Netsim.Fvec.unsafe_get occ i)
+        done);
+    out_times = Padding.Kernel.out_times k;
+    out_tags = Padding.Kernel.out_tags k;
+    trace = Some (Padding.Kernel.trace k);
+    chunk_events = (fun () -> Padding.Kernel.chunk_events k);
+    (* The payload source's and the timer's periodic records. *)
+    max_pending = (fun () -> 2 + Padding.Kernel.max_pending k);
+    flush =
+      (fun ~with_utilization:_ ~now:_ ->
+        Obs.Metrics.add m_gw_fires (Padding.Kernel.fires k);
+        Obs.Metrics.add m_gw_payload (Padding.Kernel.payload_sent k);
+        Obs.Metrics.add m_gw_dummy (Padding.Kernel.dummy_sent k));
+  }
+
+let source_stage src =
+  {
+    advance = (fun until -> Netsim.Source.advance src ~until);
+    out_times = Netsim.Source.out_times src;
+    out_tags = Netsim.Source.out_tags src;
+    trace = None;
+    chunk_events = (fun () -> Netsim.Source.chunk_events src);
+    max_pending = (fun () -> 1);
+    flush = (fun ~with_utilization:_ ~now:_ -> ());
+  }
+
+let batch_stage b =
+  {
+    advance = (fun until -> Padding.Batch.advance b ~until);
+    out_times = Padding.Batch.out_times b;
+    out_tags = Padding.Batch.out_tags b;
+    trace = None;
+    chunk_events = (fun () -> Padding.Batch.chunk_events b);
+    (* The timeout record and the scheduled emissions. *)
+    max_pending = (fun () -> 1 + Padding.Batch.max_pending b);
+    flush = (fun ~with_utilization:_ ~now:_ -> ());
+  }
+
+let hop_stage st ~cross =
+  {
+    advance = (fun until -> Netsim.Linkstage.advance st ~until);
+    out_times = Netsim.Linkstage.out_times st;
+    out_tags = Netsim.Linkstage.out_tags st;
+    trace = Some (Netsim.Linkstage.trace st);
+    chunk_events = (fun () -> Netsim.Linkstage.chunk_events st);
+    max_pending =
+      (fun () -> (if cross then 1 else 0) + Netsim.Linkstage.max_pending st);
+    flush =
+      (fun ~with_utilization ~now ->
+        Obs.Metrics.add m_link_enqueued (Netsim.Linkstage.enqueued st);
+        Obs.Metrics.add m_link_dropped (Netsim.Linkstage.dropped st);
+        let hwm = Netsim.Linkstage.queue_hwm st in
+        if hwm > 0 then Obs.Metrics.observe_hwm g_link_hwm (float_of_int hwm);
+        if with_utilization then
+          Obs.Metrics.observe h_utilization
+            (Netsim.Linkstage.utilization st ~now));
+  }
+
+(* What an entry point puts in front of the hop chain: its stages in
+   pipeline order, and the accounting read off them after the run. *)
+type origin = {
+  stages : stage list;
+  overhead : unit -> float;
+  offered : unit -> int;
+}
 
 (* K-way merge of the per-stage deferred trace buffers by insertion-time
    key, replayed through the live trace sink.  Keys are monotone within
@@ -230,53 +221,70 @@ let merge_traces bufs =
     remaining := !remaining - 1
   done
 
-let pipeline arena cfg ~piats =
+(* The run's payload, gateway and cross streams: three splits off the
+   root, in that order, whatever the front stage uses. *)
+let streams cfg =
+  let root = Prng.Rng.create ~seed:cfg.seed in
+  let rng_payload = Prng.Rng.split root in
+  let rng_gateway = Prng.Rng.split root in
+  (rng_payload, rng_gateway, Prng.Rng.split root)
+
+(* One run: validation, a trace run named after the [scenario], this
+   domain's arena with the supervising sweep's event budget armed, the
+   front stages [make_origin] configures, and the chunk loop until the
+   tap holds [count] post-warm-up gaps, or [Starvation.Tap_starved]
+   when padded traffic stops reaching it. *)
+let pipeline ~scenario ~fresh_arena cfg ~count ~count_error ~expected_rate
+    make_origin =
+  validate cfg;
+  if count < 1 then invalid_arg count_error;
+  Obs.Trace.with_run
+    (Printf.sprintf "%s seed=%d pps=%g" scenario cfg.seed cfg.payload_rate_pps)
+  @@ fun () ->
+  let arena = Arena.get ~fresh:fresh_arena in
+  let sim = arena.Arena.sim in
+  arm_event_budget sim;
   let { hops; tap_position; packet_size; _ } = cfg in
   Netsim.Topology.validate ~hops ~tap_position;
-  let n = Array.length hops in
-  let sim = arena.Arena.sim in
   let rng_payload, rng_gateway, rng_cross = streams cfg in
   let cross_rngs = Netsim.Topology.cross_streams ~rng:rng_cross hops in
-  let kgw = arena.Arena.kernel_gw in
-  Padding.Kernel.configure kgw ~rng_payload ~rng_gateway ~timer:cfg.timer
-    ~jitter:cfg.jitter ~packet_size ~payload_rate:cfg.payload_rate_pps
-    ~payload:
-      (match cfg.payload_model with
-      | Poisson_payload -> `Poisson
-      | Cbr_payload -> `Cbr);
-  let stages = Arena.kernel_hops arena n in
-  let in_t = ref (Padding.Kernel.out_times kgw) in
-  let in_tag = ref (Padding.Kernel.out_tags kgw) in
-  for i = 0 to n - 1 do
-    let h = hops.(i) in
-    let cross, burst =
-      match (h.Netsim.Topology.cross, cross_rngs.(i)) with
-      | Some { rate_pps; size_bytes; burst }, Some rng ->
-          (Some (rng, rate_pps, size_bytes), burst)
-      | _ -> (None, `Poisson)
-    in
-    Netsim.Linkstage.configure ~burst stages.(i)
-      ~bandwidth_bps:h.Netsim.Topology.bandwidth_bps
-      ~propagation:h.Netsim.Topology.propagation
-      ~queue_limit:h.Netsim.Topology.queue_limit ~packet_size ~cross
-      ~in_t:!in_t ~in_tag:!in_tag;
-    in_t := Netsim.Linkstage.out_times stages.(i);
-    in_tag := Netsim.Linkstage.out_tags stages.(i)
-  done;
+  let origin = make_origin arena ~rng_payload ~rng_gateway in
+  let last = List.nth origin.stages (List.length origin.stages - 1) in
+  let links = Arena.kernel_hops arena (Array.length hops) in
+  let upstream = ref last in
+  let hop_stages =
+    Array.init (Array.length hops) (fun i ->
+        let h = hops.(i) in
+        let cross, burst =
+          match (h.Netsim.Topology.cross, cross_rngs.(i)) with
+          | Some { rate_pps; size_bytes; burst }, Some rng ->
+              (Some (rng, rate_pps, size_bytes), burst)
+          | _ -> (None, `Poisson)
+        in
+        Netsim.Linkstage.configure ~burst links.(i)
+          ~bandwidth_bps:h.Netsim.Topology.bandwidth_bps
+          ~propagation:h.Netsim.Topology.propagation
+          ~queue_limit:h.Netsim.Topology.queue_limit ~packet_size ~cross
+          ~in_t:!upstream.out_times ~in_tag:!upstream.out_tags;
+        upstream := hop_stage links.(i) ~cross:(cross <> None);
+        !upstream)
+  in
+  let stages = Array.append (Array.of_list origin.stages) hop_stages in
+  (* The tap observes the output of the stage in front of hop
+     [tap_position]; the receiver, the last stage's. *)
+  let tap_after = List.length origin.stages - 1 + tap_position in
   (* Inline tap and receiver state. *)
   Netsim.Fvec.clear arena.Arena.tap_times;
   Netsim.Fvec.clear arena.Arena.tap_sizes;
   Netsim.Tracebuf.clear arena.Arena.kernel_tap_trace;
   let tap_payload = ref 0 and tap_dummy = ref 0 in
-  let payload_received = ref 0 and dummy_received = ref 0 in
+  let payload_received = ref 0 in
   let latency_acc = Stats.Descriptive.Acc.create () in
   let size_f = float_of_int packet_size in
-  let absorb_tap times tags =
-    let len = Netsim.Fvec.length times in
-    for i = 0 to len - 1 do
-      let t = Netsim.Fvec.unsafe_get times i in
-      let tag = Netsim.Fvec.unsafe_get tags i in
-      let dummy = Float.is_nan tag in
+  let absorb_tap s =
+    for i = 0 to Netsim.Fvec.length s.out_times - 1 do
+      let t = Netsim.Fvec.unsafe_get s.out_times i in
+      let dummy = Float.is_nan (Netsim.Fvec.unsafe_get s.out_tags i) in
       if dummy then incr tap_dummy else incr tap_payload;
       if Obs.Trace.enabled () then
         Netsim.Tracebuf.push arena.Arena.kernel_tap_trace ~key:t
@@ -288,94 +296,55 @@ let pipeline arena cfg ~piats =
       Netsim.Fvec.push arena.Arena.tap_sizes size_f
     done
   in
-  let absorb_receiver times tags =
-    let len = Netsim.Fvec.length times in
-    for i = 0 to len - 1 do
-      let t = Netsim.Fvec.unsafe_get times i in
-      let tag = Netsim.Fvec.unsafe_get tags i in
-      if Float.is_nan tag then incr dummy_received
-      else begin
+  let absorb_receiver s =
+    for i = 0 to Netsim.Fvec.length s.out_times - 1 do
+      let tag = Netsim.Fvec.unsafe_get s.out_tags i in
+      if not (Float.is_nan tag) then begin
         incr payload_received;
         (* Receiver.port: latency observed at the delivery event. *)
-        Stats.Descriptive.Acc.add latency_acc (t -. tag)
+        Stats.Descriptive.Acc.add latency_acc
+          (Netsim.Fvec.unsafe_get s.out_times i -. tag)
       end
     done
   in
-  (* Event-queue-depth surrogate for the desim.queue_hwm gauge: the two
-     periodic source records plus one per cross source, plus the pending
-     emission / in-flight transmission high-water marks.  Deterministic
-     per config (jobs-invariant) but NOT the event loop's exact
-     interleaved depth; excluded from the differential contract. *)
-  let n_cross =
-    Array.fold_left
-      (fun acc (h : Netsim.Topology.hop_spec) ->
-        if h.Netsim.Topology.cross = None then acc else acc + 1)
-      0 hops
-  in
+  (* Event-queue-depth surrogate for the desim.queue_hwm gauge: each
+     stage's periodic records and pending-event high-water mark.
+     Deterministic per config (jobs-invariant) but NOT the event loop's
+     exact interleaved depth; excluded from the differential contract. *)
   let queue_hwm_surrogate () =
-    let acc = ref (2 + n_cross + Padding.Kernel.max_pending kgw) in
-    for i = 0 to n - 1 do
-      acc := !acc + Netsim.Linkstage.max_pending stages.(i)
-    done;
-    !acc
+    Array.fold_left (fun acc s -> acc + s.max_pending ()) 0 stages
   in
   let flush ~with_utilization ~publish ~now =
     if Obs.Trace.enabled () then
-      (* Pipeline order: gateway, hops before the tap, tap, hops after. *)
+      (* Pipeline order, the tap right after the stage it observes. *)
       merge_traces
-        (Array.init (n + 2) (fun i ->
-             if i = 0 then Padding.Kernel.trace kgw
-             else if i = tap_position + 1 then arena.Arena.kernel_tap_trace
-             else if i <= tap_position then Netsim.Linkstage.trace stages.(i - 1)
-             else Netsim.Linkstage.trace stages.(i - 2)));
-    Obs.Metrics.add m_gw_fires (Padding.Kernel.fires kgw);
-    Obs.Metrics.add m_gw_payload (Padding.Kernel.payload_sent kgw);
-    Obs.Metrics.add m_gw_dummy (Padding.Kernel.dummy_sent kgw);
-    for i = 0 to n - 1 do
-      let st = stages.(i) in
-      Obs.Metrics.add m_link_enqueued (Netsim.Linkstage.enqueued st);
-      Obs.Metrics.add m_link_dropped (Netsim.Linkstage.dropped st);
-      let hwm = Netsim.Linkstage.queue_hwm st in
-      if hwm > 0 then Obs.Metrics.observe_hwm g_link_hwm (float_of_int hwm)
-    done;
-    if with_utilization then
-      (* Topology.stop_cross observes every router, in chain order. *)
-      for i = 0 to n - 1 do
-        Obs.Metrics.observe h_utilization
-          (Netsim.Linkstage.utilization stages.(i) ~now)
-      done;
+        (Array.of_list
+           (List.concat
+              (List.mapi
+                 (fun i s ->
+                   let own = Option.to_list s.trace in
+                   if i = tap_after then own @ [ arena.Arena.kernel_tap_trace ]
+                   else own)
+                 (Array.to_list stages))));
+    (* Utilization goes in chain order, as the event loop observes every
+       link at the end of the run. *)
+    Array.iter (fun s -> s.flush ~with_utilization ~now) stages;
     Netsim.Tap.note_batch
       ~observed:(!tap_payload + !tap_dummy)
       ~payload:!tap_payload ~dummy:!tap_dummy;
     if publish then Desim.Sim.publish_metrics sim
   in
   let advance until =
-    Padding.Kernel.advance kgw ~until;
-    (* Per chunk, not a run-long buffer: same observations, same order. *)
-    let occ = Padding.Kernel.occupancy kgw in
-    for i = 0 to Netsim.Fvec.length occ - 1 do
-      Obs.Metrics.observe h_gw_occupancy (Netsim.Fvec.unsafe_get occ i)
-    done;
-    let events = ref (Padding.Kernel.chunk_events kgw) in
-    if tap_position = 0 then
-      absorb_tap (Padding.Kernel.out_times kgw) (Padding.Kernel.out_tags kgw);
-    for i = 0 to n - 1 do
-      Netsim.Linkstage.advance stages.(i) ~until;
-      events := !events + Netsim.Linkstage.chunk_events stages.(i);
-      if tap_position = i + 1 then
-        absorb_tap
-          (Netsim.Linkstage.out_times stages.(i))
-          (Netsim.Linkstage.out_tags stages.(i))
-    done;
-    (if n = 0 then
-       absorb_receiver (Padding.Kernel.out_times kgw)
-         (Padding.Kernel.out_tags kgw)
-     else
-       absorb_receiver
-         (Netsim.Linkstage.out_times stages.(n - 1))
-         (Netsim.Linkstage.out_tags stages.(n - 1)));
-    Desim.Sim.account_external sim ~events:!events
-      ~queue_hwm:(queue_hwm_surrogate ());
+    let events =
+      Array.fold_left
+        (fun events s ->
+          s.advance until;
+          events + s.chunk_events ())
+        0 stages
+    in
+    absorb_tap stages.(tap_after);
+    absorb_receiver stages.(Array.length stages - 1);
+    Desim.Sim.account_external sim ~events ~queue_hwm:(queue_hwm_surrogate ());
     (* Advances the clock to the chunk boundary and enforces the event
        budget with the event loop's chunk granularity and totals.  On a
        budget trip, flush what the event loop would already have
@@ -386,46 +355,63 @@ let pipeline arena cfg ~piats =
       flush ~with_utilization:false ~publish:false ~now:(Desim.Sim.now sim);
       raise e
   in
-  Starvation.drive ~scenario:"system.run" ~slack:1.1 ~min_chunk:0.1
+  Starvation.drive ~scenario ~slack:1.1 ~min_chunk:0.1
     ~now:(fun () -> Desim.Sim.now sim)
     ~count:(fun () -> Netsim.Fvec.length arena.Arena.tap_times)
     ~advance
     ~on_starve:(fun () ->
-      (* The event loop's starve path never reaches stop_cross, so no
-         utilization observations — flush everything else. *)
+      (* The event loop's starve path never reaches its end-of-run hook,
+         so no utilization observations — flush everything else. *)
       flush ~with_utilization:false ~publish:true ~now:(Desim.Sim.now sim))
-    ~target:(tap_target cfg ~count:piats)
-    ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
-    ();
+    ~target:(tap_target ~warmup:cfg.warmup_piats ~count)
+    ~expected_rate ();
   let now = Desim.Sim.now sim in
   flush ~with_utilization:true ~publish:true ~now;
   Obs.Metrics.incr m_runs;
   let piats, timestamps =
-    observed cfg ~count:piats (Netsim.Fvec.to_array arena.Arena.tap_times)
+    observed ~warmup:cfg.warmup_piats ~count
+      (Netsim.Fvec.to_array arena.Arena.tap_times)
   in
   {
     piats;
     timestamps;
-    overhead = Padding.Kernel.overhead kgw;
-    payload_offered = Padding.Kernel.generated kgw;
+    overhead = origin.overhead ();
+    payload_offered = origin.offered ();
     payload_delivered = !payload_received;
+    (* No entry point sets a gateway queue limit, so no gateway drops. *)
     payload_dropped_gw = 0;
     mean_payload_latency = Stats.Descriptive.Acc.mean latency_acc;
     sim_time = now;
   }
 
-let run ?(fresh_arena = false) cfg ~piats =
-  with_arena ~scenario:"system.run" ~fresh_arena cfg ~count:piats
-    ~count_error:"System.run: piats < 1"
-  @@ fun arena -> pipeline arena cfg ~piats
+let payload_law cfg =
+  match cfg.payload_model with Poisson_payload -> `Poisson | Cbr_payload -> `Cbr
 
-(* Intra-run domain sharding: one logical PIAT collection split into
-   [shards] independent simulations with index-derived seeds, fanned out
-   on [Exec.Pool] and merged in shard order.  The decomposition is a
-   property of the run (the shard count and per-shard seeds never depend
-   on the worker count), so the merged result is byte-identical at any
-   [--jobs] — workers only change who executes which shard, never what a
-   shard computes. *)
+(* A timer gateway, fixed ([adaptive = None]) or adaptive. *)
+let gateway ?adaptive cfg arena ~rng_payload ~rng_gateway =
+  let k = arena.Arena.kernel_gw in
+  Padding.Kernel.configure k ?adaptive ~rng_payload ~rng_gateway
+    ~timer:cfg.timer ~jitter:cfg.jitter ~packet_size:cfg.packet_size
+    ~payload_rate:cfg.payload_rate_pps ~payload:(payload_law cfg);
+  {
+    stages = [ kernel_stage k ];
+    overhead = (fun () -> Padding.Kernel.overhead k);
+    offered = (fun () -> Padding.Kernel.generated k);
+  }
+
+(* The payload source alone. *)
+let payload_source cfg arena ~rng_payload =
+  let src = arena.Arena.source in
+  Netsim.Source.configure src ~rng:rng_payload ~rate:cfg.payload_rate_pps
+    (payload_law cfg);
+  src
+
+let run ?(fresh_arena = false) cfg ~piats =
+  pipeline ~scenario:"system.run" ~fresh_arena cfg ~count:piats
+    ~count_error:"System.run: piats < 1"
+    ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
+    (gateway cfg)
+
 let run_sharded ?(fresh_arena = false) ?jobs ?(shards = 1) cfg ~piats =
   if shards < 1 then invalid_arg "System.run_sharded: shards < 1";
   if piats < shards then invalid_arg "System.run_sharded: piats < shards";
@@ -478,48 +464,46 @@ let run_sharded ?(fresh_arena = false) ?jobs ?(shards = 1) cfg ~piats =
 
 let run_mix ?(fresh_arena = false) ?(threshold = 8) ?(timeout = 0.5) cfg
     ~piats =
-  with_arena ~scenario:"system.mix" ~fresh_arena cfg ~count:piats
-    ~count_error:"System.run_mix: piats < 1"
-  @@ fun arena ->
+  if threshold < 1 then invalid_arg "System.run_mix: threshold < 1";
+  if timeout <= 0.0 then invalid_arg "System.run_mix: timeout <= 0";
   (* Each timeout flush emits [threshold] packets, so the slowest possible
      wire rate is threshold/timeout. *)
-  assemble arena cfg ~scenario:"system.mix" ~count:piats
+  pipeline ~scenario:"system.mix" ~fresh_arena cfg ~count:piats
+    ~count_error:"System.run_mix: piats < 1"
     ~expected_rate:(float_of_int threshold /. timeout)
-    (fun sim ~rng ~dest ->
-      let mix =
-        Padding.Mix.create sim ~rng ~threshold ~timeout
-          ~packet_size:cfg.packet_size ~dest ()
-      in
+    (fun arena ~rng_payload ~rng_gateway ->
+      let src = payload_source cfg arena ~rng_payload in
+      let b = arena.Arena.batch in
+      Padding.Batch.configure b ~rng:rng_gateway ~threshold ~timeout
+        ~spacing:1e-3 ~in_t:(Netsim.Source.out_times src)
+        ~in_tag:(Netsim.Source.out_tags src);
       {
-        input = Padding.Mix.input mix;
-        stop = (fun () -> Padding.Mix.stop mix);
-        overhead = (fun () -> Padding.Mix.overhead mix);
+        stages = [ source_stage src; batch_stage b ];
+        overhead = (fun () -> Padding.Batch.overhead b);
+        offered = (fun () -> Netsim.Source.generated src);
       })
 
 let run_adaptive ?(fresh_arena = false) ?(min_period = 0.010)
     ?(max_period = 0.040) cfg ~piats =
-  with_arena ~scenario:"system.adaptive" ~fresh_arena cfg ~count:piats
-    ~count_error:"System.run_adaptive: piats < 1"
-  @@ fun arena ->
+  if min_period <= 0.0 || max_period < min_period then
+    invalid_arg "System.run_adaptive: bad period band";
   (* Worst case the adaptive gateway idles at max_period. *)
-  assemble arena cfg ~scenario:"system.adaptive" ~count:piats
+  pipeline ~scenario:"system.adaptive" ~fresh_arena cfg ~count:piats
+    ~count_error:"System.run_adaptive: piats < 1"
     ~expected_rate:(1.0 /. max_period)
-    (fun sim ~rng ~dest ->
-      let gw =
-        Padding.Adaptive.create sim ~rng ~min_period ~max_period
-          ~jitter:cfg.jitter ~packet_size:cfg.packet_size
-          ~buffers:arena.Arena.gw ~dest ()
-      in
-      {
-        input = Padding.Adaptive.input gw;
-        stop = (fun () -> Padding.Adaptive.stop gw);
-        overhead = (fun () -> Padding.Adaptive.overhead gw);
-      })
+    (gateway
+       ~adaptive:
+         { Padding.Kernel.min_period; max_period; window = 1.0; target_queue = 0.5 }
+       cfg)
 
 let run_unpadded ?(fresh_arena = false) cfg ~packets =
-  with_arena ~scenario:"system.unpadded" ~fresh_arena cfg ~count:packets
+  pipeline ~scenario:"system.unpadded" ~fresh_arena cfg ~count:packets
     ~count_error:"System.run_unpadded: packets < 1"
-  @@ fun arena ->
-  assemble arena cfg ~scenario:"system.unpadded" ~count:packets
-    ~expected_rate:cfg.payload_rate_pps (fun _sim ~rng:_ ~dest ->
-      { input = dest; stop = ignore; overhead = (fun () -> 0.0) })
+    ~expected_rate:cfg.payload_rate_pps
+    (fun arena ~rng_payload ~rng_gateway:_ ->
+      let src = payload_source cfg arena ~rng_payload in
+      {
+        stages = [ source_stage src ];
+        overhead = (fun () -> 0.0);
+        offered = (fun () -> Netsim.Source.generated src);
+      })

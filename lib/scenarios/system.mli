@@ -41,6 +41,16 @@ val arm_event_budget : Desim.Sim.t -> unit
     including {!Degradation}'s fault-injected driver.  No-op when no
     budget is installed. *)
 
+val tap_target : warmup:int -> count:int -> int
+(** The tap timestamps a run collects to yield [count] PIATs after
+    dropping [warmup] of them: [count + warmup + 2]. *)
+
+val observed : warmup:int -> count:int -> float array -> float array * float array
+(** [observed ~warmup ~count raw] trims the warm-up off the raw tap
+    timestamps [raw] (the first [warmup + 1] timestamps, hence the first
+    [warmup] PIATs) and returns at most [count] PIATs of what is left,
+    with the trimmed timestamps. *)
+
 val run : ?fresh_arena:bool -> config -> piats:int -> result
 (** Simulate until the tap has recorded [piats] inter-arrival times beyond
     the warm-up, then stop.  Raises [Desim.Sim.Event_budget_exceeded] if
@@ -52,34 +62,27 @@ val run : ?fresh_arena:bool -> config -> piats:int -> result
     identical to a fresh simulator but without re-growing storage on every
     run of a sweep; [fresh_arena:true] forces brand-new state.
 
-    Every run executes on the staged pipeline — {!Padding.Kernel} for
-    the gateway, one {!Netsim.Linkstage} per hop, an inline tap and
-    receiver — whatever the payload model and cross-traffic laws;
-    [desim.kernel.runs] counts the runs.  The contract is exact
-    equivalence with {!run_event_loop}: same RNG draws in the same
-    order, bit-identical results, metric totals and trace bytes at any
-    [--jobs], except that the pipeline reports a deterministic surrogate
-    for the [desim.queue_hwm] event-queue gauge.
+    Every entry point runs on one staged pipeline: a front stage (here
+    {!Padding.Kernel} as the gateway), one {!Netsim.Linkstage} per hop,
+    and an inline tap and receiver, whatever the payload model and
+    cross-traffic laws; [desim.kernel.runs] counts the runs.  The
+    discrete-event assembly of the same system is kept as a test
+    reference: the pipeline makes the same RNG draws in the same order
+    and produces bit-identical results, metric totals and trace bytes at
+    any [--jobs], except for a deterministic surrogate of the
+    [desim.queue_hwm] event-queue gauge.
 
-    Both engines follow one tie rule for same-instant events.  On every
-    link, departures first ({!Netsim.Link} keeps it too).  A hop's
-    upstream input goes before its cross tick, a pair that coincides
-    with probability zero under Poisson and on/off cross traffic.  A
-    payload arrival and a timer fire go in arming order, as the event
-    loop's queue sequence orders them ({!Padding.Kernel}); CBR payload
-    under CIT puts them on one lattice.  Trace records with equal
-    insertion keys come out in pipeline order — gateway, the hops before
-    the tap, the tap, the hops after it; the event loop emits them in
-    scheduling order, so with event times on a shared lattice (e.g.
+    Same-instant events follow one tie rule.  On every link, departures
+    first.  A hop's upstream input goes before its cross tick, a pair
+    that coincides with probability zero under Poisson and on/off cross
+    traffic.  A payload arrival and a timer fire go in arming order, as
+    an event queue's sequence orders them ({!Padding.Kernel}); CBR
+    payload under CIT puts them on one lattice.  Trace records with
+    equal insertion keys come out in pipeline order — gateway, the hops
+    before the tap, the tap, the hops after it; an event loop emits them
+    in scheduling order, so with event times on a shared lattice (e.g.
     jitterless CIT whose period equals a hop's transmit time) its
     equal-timestamp lines can come in another order. *)
-
-val run_event_loop : ?fresh_arena:bool -> config -> piats:int -> result
-(** {!run} on the discrete-event simulator: the independent reference
-    the pipeline is tested against.  Same
-    arguments and trace run name as {!run}; raises
-    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] as
-    {!run} does. *)
 
 val run_sharded :
   ?fresh_arena:bool -> ?jobs:int -> ?shards:int -> config -> piats:int -> result
@@ -107,8 +110,9 @@ val run_sharded :
 val run_unpadded : ?fresh_arena:bool -> config -> packets:int -> result
 (** Baseline without any gateway: the payload stream crosses the same hop
     chain in the clear ([timer]/[jitter] ignored, [piats] are exactly
-    [packets] payload inter-arrivals).  Used by the packet-counting
-    attack example.
+    [packets] payload inter-arrivals).  The front stage is the payload
+    {!Netsim.Source} itself: each packet leaves at its arrival instant.
+    Used by the packet-counting attack example.
     Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
     as {!run} does. *)
 
@@ -119,10 +123,14 @@ val run_mix :
   config ->
   piats:int ->
   result
-(** Same assembly but with a Chaum-style threshold {!Padding.Mix} instead
-    of a timer gateway ([config.timer]/[jitter] ignored).  The batch-flush
+(** Same pipeline but with a Chaum-style threshold mix ({!Padding.Batch},
+    fed by the payload {!Netsim.Source}) instead of a timer gateway
+    ([config.timer]/[jitter] ignored).  A flush emits [threshold]
+    (default 8) packets 1 ms apart; a batch flushes when full or
+    [timeout] (default 0.5 s) after its first arrival.  The batch-flush
     epochs leak the payload rate; used by the mix-vs-padding baseline.
-    Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
+    Raises [Invalid_argument] unless [threshold >= 1] and [timeout > 0];
+    raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
     as {!run} does. *)
 
 val run_adaptive :
@@ -132,8 +140,14 @@ val run_adaptive :
   config ->
   piats:int ->
   result
-(** Same assembly but with the Timmerman-style {!Padding.Adaptive} gateway
-    instead of the fixed-rate one ([config.timer] is ignored; [jitter]
-    still applies).  Periods default to 10 ms / 40 ms.
-    Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
+(** Same pipeline but with the Timmerman-style adaptive gateway
+    ({!Padding.Kernel.adaptive}: 1 s rate window, backlog target 0.5
+    packets) instead of the fixed-rate one ([config.timer] is ignored;
+    [jitter] still applies).  Periods default to 10 ms / 40 ms.  Unlike
+    the CIT/VIT gateway, its jitter draws see no payload arrivals in the
+    IRQ blocking window ([arrivals_in_window = 0]): a model difference
+    kept so that its results stay bit-identical to the event-driven
+    implementation it replaced.
+    Raises [Invalid_argument] unless [0 < min_period <= max_period];
+    raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
     as {!run} does. *)

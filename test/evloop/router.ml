@@ -1,3 +1,5 @@
+module Packet = Netsim.Packet
+
 type t = {
   link : Link.t;
   mutable forwarded : int;

@@ -1,4 +1,6 @@
-(** Output-queued store-and-forward router.
+(** Output-queued store-and-forward router on the discrete-event
+    simulator: with its cross source, the reference one
+    {!Netsim.Linkstage} hop is tested against.
 
     Models one hop of the unprotected internetwork: every packet received on
     any input is forwarded onto one shared output link (FIFO, bounded

@@ -254,42 +254,38 @@ let test_spectral_extract_bounds () =
     (Invalid_argument "Spectral.extract: need n >= 4") (fun () ->
       ignore (Adversary.Spectral.extract Adversary.Spectral.Spectral_entropy [| 1.0 |]))
 
-(* --- Mix --- *)
+(* --- Mix (the Padding.Batch stage) --- *)
+
+(* A batch stage fed the payload arrivals [times] (tags = arrival times)
+   and run to [until]; returns the stage and its output tags. *)
+let batch_run ~seed ~threshold ~timeout times ~until =
+  let in_t = Netsim.Fvec.create () and in_tag = Netsim.Fvec.create () in
+  List.iter
+    (fun t ->
+      Netsim.Fvec.push in_t t;
+      Netsim.Fvec.push in_tag t)
+    times;
+  let b = Padding.Batch.create () in
+  Padding.Batch.configure b ~rng:(Prng.Rng.create ~seed) ~threshold ~timeout
+    ~spacing:1e-3 ~in_t ~in_tag;
+  Padding.Batch.advance b ~until;
+  (b, Netsim.Fvec.to_array (Padding.Batch.out_tags b))
 
 let test_mix_threshold_flush () =
-  let sim = Desim.Sim.create () in
-  let rng = Prng.Rng.create ~seed:233 in
-  let out = ref 0 in
-  let mix =
-    Padding.Mix.create sim ~rng ~threshold:4 ~timeout:10.0
-      ~dest:(fun _ -> incr out) ()
-  in
-  for _ = 1 to 4 do
-    Padding.Mix.input mix
-      (Netsim.Packet.make ~kind:Netsim.Packet.Payload ~size_bytes:500
-         ~created:(Desim.Sim.now sim))
-  done;
-  Desim.Sim.run_until sim ~time:1.0;
-  Alcotest.(check int) "one flush" 1 (Padding.Mix.flushes mix);
-  Alcotest.(check int) "exactly K out" 4 !out;
-  Alcotest.(check int) "all payload" 4 (Padding.Mix.payload_sent mix);
-  Alcotest.(check int) "no dummies" 0 (Padding.Mix.dummy_sent mix)
+  let mix, out = batch_run ~seed:233 ~threshold:4 ~timeout:10.0 [ 0.0; 0.0; 0.0; 0.0 ] ~until:1.0 in
+  Alcotest.(check int) "one flush" 1 (Padding.Batch.flushes mix);
+  Alcotest.(check int) "exactly K out" 4 (Array.length out);
+  Alcotest.(check int) "all payload" 4 (Padding.Batch.payload_sent mix);
+  Alcotest.(check int) "no dummies" 0 (Padding.Batch.dummy_sent mix)
 
 let test_mix_timeout_flush_pads_with_dummies () =
-  let sim = Desim.Sim.create () in
-  let rng = Prng.Rng.create ~seed:234 in
-  let kinds = ref [] in
-  let mix =
-    Padding.Mix.create sim ~rng ~threshold:5 ~timeout:0.2
-      ~dest:(fun p -> kinds := p.Netsim.Packet.kind :: !kinds) ()
-  in
-  Padding.Mix.input mix
-    (Netsim.Packet.make ~kind:Netsim.Packet.Payload ~size_bytes:500 ~created:0.0);
-  Desim.Sim.run_until sim ~time:1.0;
-  Alcotest.(check int) "flushed by timeout" 1 (Padding.Mix.flushes mix);
-  Alcotest.(check int) "threshold-sized batch" 5 (List.length !kinds);
-  Alcotest.(check int) "4 dummies" 4 (Padding.Mix.dummy_sent mix);
-  close "overhead 0.8" 0.8 (Padding.Mix.overhead mix)
+  let mix, out = batch_run ~seed:234 ~threshold:5 ~timeout:0.2 [ 0.0 ] ~until:1.0 in
+  Alcotest.(check int) "flushed by timeout" 1 (Padding.Batch.flushes mix);
+  Alcotest.(check int) "threshold-sized batch" 5 (Array.length out);
+  Alcotest.(check int) "4 dummies" 4
+    (Array.length (Array.of_list (List.filter Float.is_nan (Array.to_list out))));
+  Alcotest.(check int) "4 dummies counted" 4 (Padding.Batch.dummy_sent mix);
+  close "overhead 0.8" 0.8 (Padding.Batch.overhead mix)
 
 let test_mix_flush_epochs_leak_rate () =
   (* The point of the baseline: inter-flush time scales with 1/rate. *)
@@ -305,14 +301,18 @@ let test_mix_flush_epochs_leak_rate () =
   let slow = run 10.0 235 and fast = run 40.0 236 in
   Alcotest.(check bool) "mean PIAT tracks the rate" true (slow > fast *. 1.5)
 
-let test_mix_rejects_cross () =
-  let sim = Desim.Sim.create () in
-  let rng = Prng.Rng.create ~seed:237 in
-  let mix = Padding.Mix.create sim ~rng ~dest:(fun _ -> ()) () in
-  Alcotest.check_raises "cross"
-    (Invalid_argument "Mix.input: only payload packets enter the mix") (fun () ->
-      Padding.Mix.input mix
-        (Netsim.Packet.make ~kind:Netsim.Packet.Cross ~size_bytes:500 ~created:0.0))
+let test_mix_invalid () =
+  let run ~threshold ~timeout () =
+    ignore
+      (Scenarios.System.run_mix ~threshold ~timeout
+         Scenarios.System.default_config ~piats:10
+        : Scenarios.System.result)
+  in
+  Alcotest.check_raises "threshold"
+    (Invalid_argument "System.run_mix: threshold < 1")
+    (run ~threshold:0 ~timeout:0.5);
+  Alcotest.check_raises "timeout" (Invalid_argument "System.run_mix: timeout <= 0")
+    (run ~threshold:8 ~timeout:0.0)
 
 (* --- QoS --- *)
 
@@ -425,7 +425,7 @@ let suite =
     Alcotest.test_case "mix threshold flush" `Quick test_mix_threshold_flush;
     Alcotest.test_case "mix timeout + dummies" `Quick test_mix_timeout_flush_pads_with_dummies;
     Alcotest.test_case "mix leaks rate" `Quick test_mix_flush_epochs_leak_rate;
-    Alcotest.test_case "mix rejects cross" `Quick test_mix_rejects_cross;
+    Alcotest.test_case "mix invalid parameters" `Quick test_mix_invalid;
     Alcotest.test_case "qos utilization" `Quick test_qos_utilization_and_stability;
     Alcotest.test_case "qos mean delay" `Quick test_qos_mean_delay_formula;
     Alcotest.test_case "qos matches simulation" `Quick test_qos_matches_simulation;

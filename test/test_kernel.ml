@@ -1,7 +1,7 @@
 (* Staged pipeline: the differential contract.
 
    [System.run]'s pipeline must be observably indistinguishable
-   from [System.run_event_loop] — same RNG draws in the same order,
+   from [Evloop.Event_loop.run_event_loop] — same RNG draws in the same order,
    bit-identical result fields, metric totals and ta-trace/1 bytes, at
    any worker count, through checkpoint/resume.  Both engines follow one
    tie rule for same-instant events (departures first on every link,
@@ -346,7 +346,7 @@ let differential ~traced =
           let name = Printf.sprintf "%s seed=%d traced=%b" name seed traced in
           let rk, sk, kruns, tk = run_on System.run ~traced cfg ~piats in
           let re, se, _, te =
-            run_on System.run_event_loop ~traced cfg ~piats
+            run_on Evloop.Event_loop.run_event_loop ~traced cfg ~piats
           in
           check_results_equal name rk re;
           Alcotest.(check int) (name ^ ": exactly piats") piats
@@ -413,7 +413,7 @@ let test_differential_sharded_jobs () =
   let evloop =
     Array.concat
       (List.init 8 (fun i ->
-           (System.run_event_loop
+           (Evloop.Event_loop.run_event_loop
               { cfg with seed = Prng.Rng.mix_seed cfg.System.seed i }
               ~piats:40)
              .System.piats))
@@ -442,7 +442,7 @@ let test_checkpoint_resume_mixed_paths () =
   let points = [ 0; 1; 2; 3 ] in
   let task kernel ~attempt:_ i x =
     let cfg = { (config "chain_loaded") with seed = 100 + (7 * x) } in
-    let run = if kernel then System.run else System.run_event_loop in
+    let run = if kernel then System.run else Evloop.Event_loop.run_event_loop in
     let r = run cfg ~piats:200 in
     (i, r.System.piats, r.System.overhead, r.System.mean_payload_latency)
   in
@@ -511,7 +511,7 @@ let test_onoff_validation () =
       | exception Invalid_argument msg -> msg
       | _ -> "accepted"
     in
-    (outcome System.run, outcome System.run_event_loop)
+    (outcome System.run, outcome Evloop.Event_loop.run_event_loop)
   in
   List.iter
     (fun (burst, msg) ->

@@ -16,6 +16,7 @@ let () =
       ("netsim", Test_netsim.suite);
       ("padding", Test_padding.suite);
       ("padding.kernel", Test_kernel.suite);
+      ("known-answers", Test_known_answers.suite);
       ("alloc", Test_alloc.suite);
       ("adversary", Test_adversary.suite);
       ("analytical", Test_analytical.suite);

@@ -72,12 +72,12 @@ let test_link_serialization_delay () =
   let sim = Desim.Sim.create () in
   let arrivals = ref [] in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:8000.0
+    Evloop.Link.create sim ~bandwidth_bps:8000.0
       ~dest:(fun _ -> arrivals := Desim.Sim.now sim :: !arrivals)
       ()
   in
   (* 1000 bytes at 8000 bps = 1 s of transmission. *)
-  Netsim.Link.send link (mk_packet sim);
+  Evloop.Link.send link (mk_packet sim);
   Desim.Sim.run_until sim ~time:10.0;
   Alcotest.(check (list (float 1e-9))) "one packet after 1s" [ 1.0 ] !arrivals
 
@@ -85,26 +85,26 @@ let test_link_fifo_backlog () =
   let sim = Desim.Sim.create () in
   let arrivals = ref [] in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:8000.0
+    Evloop.Link.create sim ~bandwidth_bps:8000.0
       ~dest:(fun _ -> arrivals := Desim.Sim.now sim :: !arrivals)
       ()
   in
   (* Two back-to-back packets: second waits for the first. *)
-  Netsim.Link.send link (mk_packet sim);
-  Netsim.Link.send link (mk_packet sim);
+  Evloop.Link.send link (mk_packet sim);
+  Evloop.Link.send link (mk_packet sim);
   Desim.Sim.run_until sim ~time:10.0;
   Alcotest.(check (list (float 1e-9))) "serialized" [ 2.0; 1.0 ] !arrivals;
-  Alcotest.(check int) "sent count" 2 (Netsim.Link.sent link)
+  Alcotest.(check int) "sent count" 2 (Evloop.Link.sent link)
 
 let test_link_propagation () =
   let sim = Desim.Sim.create () in
   let arrived = ref 0.0 in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:8000.0 ~propagation:0.5
+    Evloop.Link.create sim ~bandwidth_bps:8000.0 ~propagation:0.5
       ~dest:(fun _ -> arrived := Desim.Sim.now sim)
       ()
   in
-  Netsim.Link.send link (mk_packet sim);
+  Evloop.Link.send link (mk_packet sim);
   Desim.Sim.run_until sim ~time:10.0;
   close "tx + prop" 1.5 !arrived
 
@@ -112,13 +112,13 @@ let test_link_idle_resets () =
   let sim = Desim.Sim.create () in
   let arrivals = ref [] in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:8000.0
+    Evloop.Link.create sim ~bandwidth_bps:8000.0
       ~dest:(fun _ -> arrivals := Desim.Sim.now sim :: !arrivals)
       ()
   in
-  Netsim.Link.send link (mk_packet sim);
+  Evloop.Link.send link (mk_packet sim);
   Desim.Sim.run_until sim ~time:5.0;
-  Netsim.Link.send link (mk_packet sim);
+  Evloop.Link.send link (mk_packet sim);
   Desim.Sim.run_until sim ~time:10.0;
   Alcotest.(check (list (float 1e-9))) "no carryover backlog" [ 6.0; 1.0 ] !arrivals
 
@@ -126,14 +126,14 @@ let test_link_queue_limit_drops () =
   let sim = Desim.Sim.create () in
   let delivered = ref 0 in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:8000.0 ~queue_limit:2
+    Evloop.Link.create sim ~bandwidth_bps:8000.0 ~queue_limit:2
       ~dest:(fun _ -> incr delivered)
       ()
   in
   for _ = 1 to 5 do
-    Netsim.Link.send link (mk_packet sim)
+    Evloop.Link.send link (mk_packet sim)
   done;
-  Alcotest.(check int) "drops counted" 3 (Netsim.Link.dropped link);
+  Alcotest.(check int) "drops counted" 3 (Evloop.Link.dropped link);
   Desim.Sim.run_until sim ~time:10.0;
   Alcotest.(check int) "survivors delivered" 2 !delivered
 
@@ -145,20 +145,20 @@ let test_link_departures_first () =
   let sim = Desim.Sim.create () in
   let delivered = ref 0 in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:8000.0 ~queue_limit:1
+    Evloop.Link.create sim ~bandwidth_bps:8000.0 ~queue_limit:1
       ~dest:(fun _ -> incr delivered)
       ()
   in
   (* 1000 bytes at 8000 bps: the first packet finishes at t = 1.0. *)
   ignore
-    (Desim.Sim.at sim ~time:1.0 (fun () -> Netsim.Link.send link (mk_packet sim))
+    (Desim.Sim.at sim ~time:1.0 (fun () -> Evloop.Link.send link (mk_packet sim))
       : Desim.Sim.handle);
   ignore
-    (Desim.Sim.at sim ~time:0.0 (fun () -> Netsim.Link.send link (mk_packet sim))
+    (Desim.Sim.at sim ~time:0.0 (fun () -> Evloop.Link.send link (mk_packet sim))
       : Desim.Sim.handle);
   Desim.Sim.run_until sim ~time:10.0;
   Alcotest.(check int) "no drop at the finish instant" 0
-    (Netsim.Link.dropped link);
+    (Evloop.Link.dropped link);
   Alcotest.(check int) "both delivered" 2 !delivered;
   match
     Obs.Metrics.Snapshot.find (Obs.Metrics.snapshot ()) "netsim.link.queue_hwm"
@@ -171,7 +171,7 @@ let test_link_conservation () =
   let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed:101 in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:1e6 ~queue_limit:10
+    Evloop.Link.create sim ~bandwidth_bps:1e6 ~queue_limit:10
       ~dest:(fun _ -> ())
       ()
   in
@@ -179,12 +179,12 @@ let test_link_conservation () =
   for _ = 1 to offered do
     Desim.Sim.run_until sim
       ~time:(Desim.Sim.now sim +. Prng.Sampler.exponential rng ~rate:100.0);
-    Netsim.Link.send link (mk_packet ~size:500 sim)
+    Evloop.Link.send link (mk_packet ~size:500 sim)
   done;
   Desim.Sim.run_until sim ~time:(Desim.Sim.now sim +. 10.0);
-  Alcotest.(check int) "drained" 0 (Netsim.Link.queue_depth link);
+  Alcotest.(check int) "drained" 0 (Evloop.Link.queue_depth link);
   Alcotest.(check int) "conservation" offered
-    (Netsim.Link.sent link + Netsim.Link.dropped link)
+    (Evloop.Link.sent link + Evloop.Link.dropped link)
 
 let test_link_sustained_overload_conserves () =
   (* Offer ~4x the line rate in bursts for a while: at every instant
@@ -194,7 +194,7 @@ let test_link_sustained_overload_conserves () =
   let rng = Prng.Rng.create ~seed:107 in
   let delivered = ref 0 in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:400_000.0 ~queue_limit:16
+    Evloop.Link.create sim ~bandwidth_bps:400_000.0 ~queue_limit:16
       ~dest:(fun _ -> incr delivered)
       ()
   in
@@ -205,34 +205,34 @@ let test_link_sustained_overload_conserves () =
     let burst = 1 + Prng.Rng.int rng ~bound:3 in
     for _ = 1 to burst do
       incr offered;
-      Netsim.Link.send link (mk_packet ~size:500 sim)
+      Evloop.Link.send link (mk_packet ~size:500 sim)
     done;
     Alcotest.(check int) "conserved mid-overload" !offered
-      (Netsim.Link.sent link + Netsim.Link.dropped link
-     + Netsim.Link.queue_depth link)
+      (Evloop.Link.sent link + Evloop.Link.dropped link
+     + Evloop.Link.queue_depth link)
   done;
   Alcotest.(check bool) "overload actually dropped" true
-    (Netsim.Link.dropped link > 0);
+    (Evloop.Link.dropped link > 0);
   Desim.Sim.run_until sim ~time:(Desim.Sim.now sim +. 5.0);
-  Alcotest.(check int) "backlog drains" 0 (Netsim.Link.queue_depth link);
-  Alcotest.(check int) "all survivors delivered" (Netsim.Link.sent link)
+  Alcotest.(check int) "backlog drains" 0 (Evloop.Link.queue_depth link);
+  Alcotest.(check int) "all survivors delivered" (Evloop.Link.sent link)
     !delivered;
   Alcotest.(check int) "final conservation" !offered
-    (Netsim.Link.sent link + Netsim.Link.dropped link)
+    (Evloop.Link.sent link + Evloop.Link.dropped link)
 
 let test_link_utilization () =
   let sim = Desim.Sim.create () in
-  let link = Netsim.Link.create sim ~bandwidth_bps:8000.0 ~dest:(fun _ -> ()) () in
-  Netsim.Link.send link (mk_packet sim);
+  let link = Evloop.Link.create sim ~bandwidth_bps:8000.0 ~dest:(fun _ -> ()) () in
+  Evloop.Link.send link (mk_packet sim);
   (* 1s busy out of 4s elapsed -> 25% *)
   Desim.Sim.run_until sim ~time:4.0;
-  close ~tol:0.01 "utilization" 0.25 (Netsim.Link.utilization link)
+  close ~tol:0.01 "utilization" 0.25 (Evloop.Link.utilization link)
 
 let test_link_invalid () =
   let sim = Desim.Sim.create () in
   Alcotest.check_raises "bandwidth" (Invalid_argument "Link.create: bandwidth <= 0")
     (fun () ->
-      ignore (Netsim.Link.create sim ~bandwidth_bps:0.0 ~dest:(fun _ -> ()) ()))
+      ignore (Evloop.Link.create sim ~bandwidth_bps:0.0 ~dest:(fun _ -> ()) ()))
 
 (* --- Router --- *)
 
@@ -240,16 +240,16 @@ let test_router_diverts_cross () =
   let sim = Desim.Sim.create () in
   let forwarded = ref [] in
   let router =
-    Netsim.Router.create sim ~bandwidth_bps:1e9
+    Evloop.Router.create sim ~bandwidth_bps:1e9
       ~dest:(fun p -> forwarded := p.Netsim.Packet.kind :: !forwarded)
       ()
   in
-  Netsim.Router.port router (mk_packet ~kind:Netsim.Packet.Payload sim);
-  Netsim.Router.port router (mk_packet ~kind:Netsim.Packet.Cross sim);
-  Netsim.Router.port router (mk_packet ~kind:Netsim.Packet.Dummy sim);
+  Evloop.Router.port router (mk_packet ~kind:Netsim.Packet.Payload sim);
+  Evloop.Router.port router (mk_packet ~kind:Netsim.Packet.Cross sim);
+  Evloop.Router.port router (mk_packet ~kind:Netsim.Packet.Dummy sim);
   Desim.Sim.run_until sim ~time:1.0;
-  Alcotest.(check int) "padded forwarded" 2 (Netsim.Router.forwarded router);
-  Alcotest.(check int) "cross diverted" 1 (Netsim.Router.diverted router);
+  Alcotest.(check int) "padded forwarded" 2 (Evloop.Router.forwarded router);
+  Alcotest.(check int) "cross diverted" 1 (Evloop.Router.diverted router);
   Alcotest.(check bool) "no cross in output" true
     (List.for_all (fun k -> k <> Netsim.Packet.Cross) !forwarded)
 
@@ -257,11 +257,11 @@ let test_router_keep_cross_when_disabled () =
   let sim = Desim.Sim.create () in
   let kinds = ref [] in
   let router =
-    Netsim.Router.create sim ~bandwidth_bps:1e9 ~divert_cross:false
+    Evloop.Router.create sim ~bandwidth_bps:1e9 ~divert_cross:false
       ~dest:(fun p -> kinds := p.Netsim.Packet.kind :: !kinds)
       ()
   in
-  Netsim.Router.port router (mk_packet ~kind:Netsim.Packet.Cross sim);
+  Evloop.Router.port router (mk_packet ~kind:Netsim.Packet.Cross sim);
   Desim.Sim.run_until sim ~time:1.0;
   Alcotest.(check int) "cross forwarded" 1 (List.length !kinds)
 
@@ -271,12 +271,12 @@ let test_router_cross_delays_padded () =
   let sim = Desim.Sim.create () in
   let arrival = ref 0.0 in
   let router =
-    Netsim.Router.create sim ~bandwidth_bps:8000.0
+    Evloop.Router.create sim ~bandwidth_bps:8000.0
       ~dest:(fun _ -> arrival := Desim.Sim.now sim)
       ()
   in
-  Netsim.Router.port router (mk_packet ~kind:Netsim.Packet.Cross sim);
-  Netsim.Router.port router (mk_packet ~kind:Netsim.Packet.Payload sim);
+  Evloop.Router.port router (mk_packet ~kind:Netsim.Packet.Cross sim);
+  Evloop.Router.port router (mk_packet ~kind:Netsim.Packet.Payload sim);
   Desim.Sim.run_until sim ~time:10.0;
   close "padded waits behind cross" 2.0 !arrival
 
@@ -349,7 +349,7 @@ let test_on_off_average_rate () =
   let rng = Prng.Rng.create ~seed:103 in
   let count = ref 0 in
   let _gen =
-    Netsim.Traffic_gen.on_off sim ~rng ~rate_on_pps:100.0 ~mean_on:0.5
+    Evloop.On_off.create sim ~rng ~rate_on_pps:100.0 ~mean_on:0.5
       ~mean_off:0.5 ~size_bytes:100 ~kind:Netsim.Packet.Cross
       ~dest:(fun _ -> incr count)
       ()
@@ -365,14 +365,16 @@ let test_on_off_burstier_than_poisson () =
     let rng = Prng.Rng.create ~seed:source_seed in
     let times = Netsim.Fvec.create () in
     let dest _ = Netsim.Fvec.push times (Desim.Sim.now sim) in
-    let _gen =
-      if on_off then
-        Netsim.Traffic_gen.on_off sim ~rng ~rate_on_pps:200.0 ~mean_on:0.2
-          ~mean_off:0.8 ~size_bytes:100 ~kind:Netsim.Packet.Cross ~dest ()
-      else
-        Netsim.Traffic_gen.poisson sim ~rng ~rate_pps:40.0 ~size_bytes:100
-          ~kind:Netsim.Packet.Cross ~dest ()
-    in
+    (if on_off then
+       ignore
+         (Evloop.On_off.create sim ~rng ~rate_on_pps:200.0 ~mean_on:0.2
+            ~mean_off:0.8 ~size_bytes:100 ~kind:Netsim.Packet.Cross ~dest ()
+           : Evloop.On_off.t)
+     else
+       ignore
+         (Netsim.Traffic_gen.poisson sim ~rng ~rate_pps:40.0 ~size_bytes:100
+            ~kind:Netsim.Packet.Cross ~dest ()
+           : Netsim.Traffic_gen.t));
     Desim.Sim.run_until sim ~time:300.0;
     let ts = Netsim.Fvec.to_array times in
     let piats = Array.init (Array.length ts - 1) (fun i -> ts.(i + 1) -. ts.(i)) in
@@ -419,38 +421,38 @@ let test_chain_delivery_and_tap () =
   let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed:107 in
   let topo =
-    Netsim.Topology.chain sim ~rng
+    Evloop.Topology.chain sim ~rng
       ~hops:[| lab_hop (); lab_hop () |]
       ~tap_position:1 ()
   in
   for _ = 1 to 10 do
-    topo.Netsim.Topology.entry (mk_packet ~size:500 sim);
+    topo.Evloop.Topology.entry (mk_packet ~size:500 sim);
     Desim.Sim.run_until sim ~time:(Desim.Sim.now sim +. 0.01)
   done;
   Desim.Sim.run_until sim ~time:(Desim.Sim.now sim +. 1.0);
-  Alcotest.(check int) "tap saw all" 10 (Netsim.Tap.count topo.Netsim.Topology.tap);
-  Alcotest.(check int) "sink got all" 10 (topo.Netsim.Topology.sink_count ())
+  Alcotest.(check int) "tap saw all" 10 (Netsim.Tap.count topo.Evloop.Topology.tap);
+  Alcotest.(check int) "sink got all" 10 (topo.Evloop.Topology.sink_count ())
 
 let test_chain_cross_does_not_reach_sink () =
   let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed:108 in
   let cross_seen_at_dest = ref 0 in
   let topo =
-    Netsim.Topology.chain sim ~rng
+    Evloop.Topology.chain sim ~rng
       ~hops:[| lab_hop ~cross_rate:1000.0 () |]
       ~tap_position:1
       ~dest:(fun p ->
         if p.Netsim.Packet.kind = Netsim.Packet.Cross then incr cross_seen_at_dest)
       ()
   in
-  topo.Netsim.Topology.entry (mk_packet ~size:500 sim);
+  topo.Evloop.Topology.entry (mk_packet ~size:500 sim);
   Desim.Sim.run_until sim ~time:2.0;
   Alcotest.(check int) "cross diverted before dest" 0 !cross_seen_at_dest;
   Alcotest.(check bool) "cross flowed" true
     (List.exists
-       (fun g -> Netsim.Traffic_gen.generated g > 0)
-       topo.Netsim.Topology.cross_sources);
-  Netsim.Topology.stop_cross topo
+       (fun g -> g.Evloop.Topology.generated () > 0)
+       topo.Evloop.Topology.cross_sources);
+  Evloop.Topology.stop_cross topo
 
 let test_chain_tap_positions_valid () =
   let sim = Desim.Sim.create () in
@@ -458,12 +460,12 @@ let test_chain_tap_positions_valid () =
   Alcotest.check_raises "out of range"
     (Invalid_argument "Topology.chain: tap_position out of range") (fun () ->
       ignore
-        (Netsim.Topology.chain sim ~rng ~hops:[| lab_hop () |] ~tap_position:2 ()));
+        (Evloop.Topology.chain sim ~rng ~hops:[| lab_hop () |] ~tap_position:2 ()));
   (* position 0 and hops=[||] is the gateway-tap degenerate chain *)
-  let topo = Netsim.Topology.chain sim ~rng ~hops:[||] ~tap_position:0 () in
-  topo.Netsim.Topology.entry (mk_packet sim);
+  let topo = Evloop.Topology.chain sim ~rng ~hops:[||] ~tap_position:0 () in
+  topo.Evloop.Topology.entry (mk_packet sim);
   Desim.Sim.run_until sim ~time:1.0;
-  Alcotest.(check int) "tap at entry" 1 (Netsim.Tap.count topo.Netsim.Topology.tap)
+  Alcotest.(check int) "tap at entry" 1 (Netsim.Tap.count topo.Evloop.Topology.tap)
 
 let suite =
   [

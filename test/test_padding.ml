@@ -336,64 +336,58 @@ let test_receiver_rejects_cross () =
       Padding.Receiver.port recv
         (Netsim.Packet.make ~kind:Netsim.Packet.Cross ~size_bytes:500 ~created:0.0))
 
-(* --- Adaptive --- *)
+(* --- Adaptive (the Kernel's adaptive interval, via System.run_adaptive) --- *)
+
+let adaptive_run ?min_period ?max_period rate seed ~piats =
+  Scenarios.System.run_adaptive ?min_period ?max_period
+    {
+      Scenarios.System.default_config with
+      seed;
+      jitter = Padding.Jitter.none;
+      payload_rate_pps = rate;
+    }
+    ~piats
 
 let test_adaptive_saves_bandwidth_at_low_rate () =
-  let run rate seed =
-    let sim = Desim.Sim.create () in
-    let rng = Prng.Rng.create ~seed in
-    let gw =
-      Padding.Adaptive.create sim ~rng:(Prng.Rng.split rng)
-        ~jitter:Padding.Jitter.none ~dest:(fun _ -> ()) ()
-    in
-    let _src =
-      Netsim.Traffic_gen.poisson sim ~rng:(Prng.Rng.split rng) ~rate_pps:rate
-        ~size_bytes:500 ~kind:Netsim.Packet.Payload
-        ~dest:(Padding.Adaptive.input gw) ()
-    in
-    Desim.Sim.run_until sim ~time:120.0;
-    gw
-  in
-  let low = run 10.0 130 and high = run 40.0 131 in
+  let low = adaptive_run 10.0 130 ~piats:3000
+  and high = adaptive_run 40.0 131 ~piats:3000 in
+  let overhead (r : Scenarios.System.result) = r.Scenarios.System.overhead in
   Alcotest.(check bool) "lower overhead than CIT's 0.9 at 10pps" true
-    (Padding.Adaptive.overhead low < 0.8);
+    (overhead low < 0.8);
   Alcotest.(check bool) "rate-dependent overhead (the leak)" true
-    (Padding.Adaptive.overhead low > Padding.Adaptive.overhead high +. 0.1);
+    (overhead low > overhead high +. 0.1);
+  (* Without jitter every PIAT is one period of the controller. *)
   Alcotest.(check bool) "period stays in band" true
-    (Padding.Adaptive.current_period low >= 0.01
-    && Padding.Adaptive.current_period low <= 0.04)
+    (Array.for_all
+       (fun p -> p >= 0.01 -. 1e-9 && p <= 0.04 +. 1e-9)
+       low.Scenarios.System.piats)
 
 let test_adaptive_delivers_payload () =
-  let sim = Desim.Sim.create () in
-  let rng = Prng.Rng.create ~seed:132 in
-  let delivered = ref 0 in
-  let gw =
-    Padding.Adaptive.create sim ~rng:(Prng.Rng.split rng)
-      ~jitter:Padding.Jitter.none
-      ~dest:(fun p ->
-        if p.Netsim.Packet.kind = Netsim.Packet.Payload then incr delivered)
-      ()
-  in
-  let src =
-    Netsim.Traffic_gen.poisson sim ~rng:(Prng.Rng.split rng) ~rate_pps:20.0
-      ~size_bytes:500 ~kind:Netsim.Packet.Payload
-      ~dest:(Padding.Adaptive.input gw) ()
-  in
-  Desim.Sim.run_until sim ~time:60.0;
-  Netsim.Traffic_gen.stop src;
-  Desim.Sim.run_until sim ~time:70.0;
-  let offered = Netsim.Traffic_gen.generated src in
+  let r = adaptive_run 20.0 132 ~piats:3000 in
+  let offered = r.Scenarios.System.payload_offered in
+  let delivered = r.Scenarios.System.payload_delivered in
   Alcotest.(check bool) "almost all delivered" true
-    (!delivered >= offered - 5 && !delivered <= offered)
+    (delivered >= offered - 5 && delivered <= offered)
 
 let test_adaptive_invalid () =
-  let sim = Desim.Sim.create () in
-  let rng = Prng.Rng.create ~seed:133 in
-  Alcotest.check_raises "band" (Invalid_argument "Adaptive.create: bad period band")
-    (fun () ->
+  Alcotest.check_raises "band"
+    (Invalid_argument "System.run_adaptive: bad period band") (fun () ->
       ignore
-        (Padding.Adaptive.create sim ~rng ~min_period:0.05 ~max_period:0.01
-           ~jitter:Padding.Jitter.none ~dest:(fun _ -> ()) ()))
+        (adaptive_run ~min_period:0.05 ~max_period:0.01 10.0 133 ~piats:10
+          : Scenarios.System.result));
+  Alcotest.check_raises "window" (Invalid_argument "Kernel.configure: window <= 0")
+    (fun () ->
+      let rng = Prng.Rng.create ~seed:133 in
+      Padding.Kernel.configure (Padding.Kernel.create ())
+        ~adaptive:
+          {
+            Padding.Kernel.min_period = 0.01;
+            max_period = 0.04;
+            window = 0.0;
+            target_queue = 0.5;
+          }
+        ~rng_payload:rng ~rng_gateway:rng ~timer:(Padding.Timer.Constant 0.01)
+        ~jitter:Padding.Jitter.none ~packet_size:500 ~payload_rate:10.0)
 
 let suite =
   [

@@ -66,24 +66,24 @@ let test_saturated_link_still_conserves () =
   let rng = Prng.Rng.create ~seed:283 in
   let delivered = ref 0 in
   let link =
-    Netsim.Link.create sim ~bandwidth_bps:400_000.0 ~queue_limit:20
+    Evloop.Link.create sim ~bandwidth_bps:400_000.0 ~queue_limit:20
       ~dest:(fun _ -> incr delivered)
       ()
   in
   let src =
     Netsim.Traffic_gen.poisson sim ~rng ~rate_pps:200.0 ~size_bytes:500
-      ~kind:Netsim.Packet.Cross ~dest:(Netsim.Link.port link) ()
+      ~kind:Netsim.Packet.Cross ~dest:(Evloop.Link.port link) ()
   in
   Desim.Sim.run_until sim ~time:60.0;
   Netsim.Traffic_gen.stop src;
   Desim.Sim.run_until sim ~time:62.0;
   let offered = Netsim.Traffic_gen.generated src in
   Alcotest.(check int) "conservation" offered
-    (Netsim.Link.sent link + Netsim.Link.dropped link);
-  Alcotest.(check int) "delivered = sent" (Netsim.Link.sent link) !delivered;
-  Alcotest.(check bool) "queue bounded" true (Netsim.Link.queue_depth link <= 20);
+    (Evloop.Link.sent link + Evloop.Link.dropped link);
+  Alcotest.(check int) "delivered = sent" (Evloop.Link.sent link) !delivered;
+  Alcotest.(check bool) "queue bounded" true (Evloop.Link.queue_depth link <= 20);
   (* 100 pps of 4000-bit packets on a 400 kb/s link: ~full utilization. *)
-  Alcotest.(check bool) "link saturated" true (Netsim.Link.utilization link > 0.95)
+  Alcotest.(check bool) "link saturated" true (Evloop.Link.utilization link > 0.95)
 
 let test_detection_collapses_on_saturated_path () =
   (* A crushed bottleneck destroys the timing signal: r -> 1.  The
@@ -202,20 +202,20 @@ let test_tiny_sample_sizes_do_not_crash () =
 let test_mix_overload_flushes_by_threshold () =
   (* Payload far above threshold/timeout capacity: every flush is a full
      threshold batch with no dummies. *)
-  let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed:289 in
-  let mix =
-    Padding.Mix.create sim ~rng:(Prng.Rng.split rng) ~threshold:4 ~timeout:1.0
-      ~dest:(fun _ -> ()) ()
-  in
-  let _src =
-    Netsim.Traffic_gen.poisson sim ~rng:(Prng.Rng.split rng) ~rate_pps:400.0
-      ~size_bytes:500 ~kind:Netsim.Packet.Payload ~dest:(Padding.Mix.input mix)
-      ()
-  in
-  Desim.Sim.run_until sim ~time:10.0;
-  Alcotest.(check bool) "many flushes" true (Padding.Mix.flushes mix > 500);
-  close ~tol:0.01 "no dummy padding under load" 0.0 (Padding.Mix.overhead mix)
+  let src = Netsim.Source.create () in
+  Netsim.Source.configure src ~rng:(Prng.Rng.split rng) ~rate:400.0 `Poisson;
+  let mix = Padding.Batch.create () in
+  Padding.Batch.configure mix ~rng:(Prng.Rng.split rng) ~threshold:4
+    ~timeout:1.0 ~spacing:1e-3 ~in_t:(Netsim.Source.out_times src)
+    ~in_tag:(Netsim.Source.out_tags src);
+  for k = 1 to 10 do
+    let until = float_of_int k in
+    Netsim.Source.advance src ~until;
+    Padding.Batch.advance mix ~until
+  done;
+  Alcotest.(check bool) "many flushes" true (Padding.Batch.flushes mix > 500);
+  close ~tol:0.01 "no dummy padding under load" 0.0 (Padding.Batch.overhead mix)
 
 let suite =
   [
