@@ -126,8 +126,9 @@ let note_pend t =
   let pend = Netsim.Fring.length t.pend_t in
   if pend > t.max_pend then t.max_pend <- pend
 
-(* Forget the arrivals before [start]. *)
-let prune t ~start =
+(* Forget the arrivals before [start].  Inlined, so [start] is not boxed
+   on every fire. *)
+let[@inline] prune t ~start =
   while
     (not (Netsim.Fring.is_empty t.window))
     && Netsim.Fring.peek t.window < start

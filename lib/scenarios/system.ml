@@ -249,9 +249,9 @@ let pipeline ~scenario ~fresh_arena cfg ~count ~count_error ~expected_rate
   let rng_payload, rng_gateway, rng_cross = streams cfg in
   let cross_rngs = Netsim.Topology.cross_streams ~rng:rng_cross hops in
   let origin = make_origin arena ~rng_payload ~rng_gateway in
-  let last = List.nth origin.stages (List.length origin.stages - 1) in
   let links = Arena.kernel_hops arena (Array.length hops) in
-  let upstream = ref last in
+  (* Each hop consumes the chunk output of the stage before it. *)
+  let upstream = ref (List.nth origin.stages (List.length origin.stages - 1)) in
   let hop_stages =
     Array.init (Array.length hops) (fun i ->
         let h = hops.(i) in
