@@ -6,14 +6,13 @@
    Poisson and CBR intervals come in blocks: exponential draws filled
    from the source's dedicated stream (over-drawing it is unobservable),
    or the constant period with no draws.  An on/off source takes one
-   scalar step per event in the event-loop on/off source's draw order, and two
-   of its events per cycle emit nothing: the burst tick that lands at or
-   past the phase end, and the next phase start. *)
+   scalar step per event in the event-loop on/off source's draw order, and
+   one of its events per cycle emits nothing: the phase start. *)
 
 type law = [ `Poisson | `Cbr | `On_off of float * float * float option ]
 
 (* On/off: the kind of the head event. *)
-type phase = Start | Burst | Past_end
+type phase = Start | Burst
 
 type t = {
   regs : floatarray; (* 0 head, 1 rate (on/off: in-burst rate), 2 phase end *)
@@ -52,27 +51,27 @@ let period rng ~mean = function
       Prng.Sampler.pareto rng ~shape ~scale:(mean *. (shape -. 1.0) /. shape)
 
 (* Interval from the head event to the next: a phase start draws D_on,
-   then (like a burst tick) the next Exp gap; the tick at or past the
-   phase end draws D_off to the next phase start. *)
+   then (like a burst tick) the next Exp gap.  A gap that lands at or past
+   the phase end is dropped: the off phase runs from the phase end, and
+   D_off leads to the next phase start. *)
 let on_off_step t ~mean_on ~mean_off ~shape =
   let now = head t in
-  match t.phase with
-  | Past_end ->
-      t.phase <- Start;
-      t.emits <- false;
-      period t.rng ~mean:mean_off shape
-  | Start | Burst ->
-      (match t.phase with
-      | Start ->
-          Float.Array.set t.regs 2 (now +. period t.rng ~mean:mean_on shape)
-      | Burst | Past_end -> ());
-      let rate = Float.Array.get t.regs 1 in
-      let dt = Prng.Sampler.exponential t.rng ~rate in
-      let phase_end = Float.Array.get t.regs 2 in
-      let emits = now +. dt < phase_end in
-      t.emits <- emits;
-      t.phase <- (if emits then Burst else Past_end);
-      dt
+  (match t.phase with
+  | Start -> Float.Array.set t.regs 2 (now +. period t.rng ~mean:mean_on shape)
+  | Burst -> ());
+  let rate = Float.Array.get t.regs 1 in
+  let dt = Prng.Sampler.exponential t.rng ~rate in
+  let phase_end = Float.Array.get t.regs 2 in
+  if now +. dt < phase_end then begin
+    t.emits <- true;
+    t.phase <- Burst;
+    dt
+  end
+  else begin
+    t.emits <- false;
+    t.phase <- Start;
+    phase_end +. period t.rng ~mean:mean_off shape -. now
+  end
 
 let refill t =
   t.idx <- 0;

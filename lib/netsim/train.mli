@@ -34,8 +34,7 @@ val head_cell : t -> floatarray
 
 val emits : t -> bool
 (** Whether the head event sends a packet.  Always [true] for Poisson
-    and CBR; on/off phase ends and phase starts are events that send
-    nothing. *)
+    and CBR; an on/off phase start is an event that sends nothing. *)
 
 val next : t -> unit
 (** Step to the following event. *)

@@ -28,35 +28,31 @@ let create sim ~rng ~rate_on_pps ~mean_on ~mean_off ?pareto_shape ~size_bytes
       (Netsim.Packet.make_gen t.gen ~kind ~size_bytes
          ~created:(Desim.Sim.now sim))
   in
-  (* Alternate phases; within ON, Poisson emission until the phase budget
-     is exhausted. *)
+  (* Alternate phases; within ON, Poisson emission until the next gap
+     lands at or past the phase end.  That gap is dropped: the OFF phase
+     runs from the phase end, D_off long. *)
   let rec start_on () =
     if not t.stopped then begin
       let phase_end = Desim.Sim.now sim +. draw_period mean_on in
-      let rec burst () =
+      let rec next_tick () =
+        let now = Desim.Sim.now sim in
+        let dt = Prng.Sampler.exponential rng ~rate:rate_on_pps in
+        if now +. dt < phase_end then
+          ignore (Desim.Sim.after sim ~delay:dt burst : Desim.Sim.handle)
+        else
+          ignore
+            (Desim.Sim.after sim
+               ~delay:(phase_end +. draw_period mean_off -. now)
+               start_on
+              : Desim.Sim.handle)
+      and burst () =
         if not t.stopped then begin
-          if Desim.Sim.now sim < phase_end then begin
-            emit ();
-            ignore
-              (Desim.Sim.after sim
-                 ~delay:(Prng.Sampler.exponential rng ~rate:rate_on_pps)
-                 burst
-                : Desim.Sim.handle)
-          end
-          else start_off ()
+          emit ();
+          next_tick ()
         end
       in
-      ignore
-        (Desim.Sim.after sim
-           ~delay:(Prng.Sampler.exponential rng ~rate:rate_on_pps)
-           burst
-          : Desim.Sim.handle)
+      next_tick ()
     end
-  and start_off () =
-    if not t.stopped then
-      ignore
-        (Desim.Sim.after sim ~delay:(draw_period mean_off) start_on
-          : Desim.Sim.handle)
   in
   start_on ();
   t

@@ -20,10 +20,8 @@ let start_cross sim ~rng ~(spec : Netsim.Topology.cross_spec) ~dest =
         stop = (fun () -> Netsim.Traffic_gen.stop g);
       }
   | `On_off (mean_on, mean_off, pareto_shape) ->
-      (* rate_on is rate_pps over the duty cycle.  The off phase only
-         starts once the next gap lands past the on phase's end, so the
-         long-run rate falls short of rate_pps by the factor
-         (mean_on + mean_off) / (mean_on + mean_off + 1 / rate_on). *)
+      (* rate_on is rate_pps over the duty cycle, so the long-run rate is
+         rate_pps. *)
       let duty = mean_on /. (mean_on +. mean_off) in
       let g =
         On_off.create sim ~rng ~rate_on_pps:(spec.rate_pps /. duty) ~mean_on

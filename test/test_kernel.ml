@@ -558,17 +558,15 @@ let prop_cbr_cit =
       && Float.abs (dummies -. ((1.0 -. (rate *. tau)) *. fires)) <= 1.0 +. 1e-6)
 
 let prop_onoff_rate =
-  (* [Traffic_gen.on_off] emits Poisson(λ_on) during an on phase D_on,
-     then stays silent until its next gap lands past the phase end (a
-     residual R ~ Exp(λ_on)) and for the off phase D_off after that.  As
-     a renewal-reward process over cycles C = D_on + R + D_off with
-     N_c ~ Poisson(λ_on·D_on) packets, its count over T has mean λT,
-     λ = λ_on·m_on/E[C], give or take one cycle's packets for the start
-     in phase, and variance ~ T·Var(N_c − λC)/E[C].  The count is read
-     off the link: enqueued packets (no queue limit, so no drops) minus
-     the padded ones (one per fire, give or take the last emission).
-     R is why λ falls short of rate_pps by the factor
-     (m_on + m_off)/(m_on + m_off + 1/λ_on). *)
+  (* An on/off hop offers [rate_pps] on average: Poisson(λ_on) during an
+     on phase D_on, silence for the off phase D_off that starts where the
+     on phase ends, λ_on = rate_pps·(m_on + m_off)/m_on.  As a
+     renewal-reward process over cycles C = D_on + D_off with
+     N_c ~ Poisson(λ_on·D_on) packets, its count over T has mean
+     rate_pps·T, give or take one cycle's packets for the start in phase,
+     and variance ~ T·Var(N_c − rate_pps·C)/E[C].  The count is read off
+     the link: enqueued packets (no queue limit, so no drops) minus the
+     padded ones (one per fire, give or take the last emission). *)
   QCheck.Test.make ~name:"on/off hop: offered cross rate within 5 sigma" ~count:10
     QCheck.(
       quad (int_range 0 10_000) (float_range 50.0 300.0) (float_range 0.005 0.05)
@@ -595,22 +593,22 @@ let prop_onoff_rate =
       let (r, enqueued), fires =
         counter_delta "padding.gateway.fires" (fun () ->
             counter_delta "netsim.link.enqueued" (fun () ->
-                System.run cfg ~piats:400))
+                System.run cfg ~piats:20_000))
       in
       let t = r.System.sim_time in
       let rate_on = rate_pps *. (m_on +. m_off) /. m_on in
-      let cycle = m_on +. (1.0 /. rate_on) +. m_off in
-      let rate = rate_on *. m_on /. cycle in
-      let var_c = (m_on *. m_on) +. (1.0 /. (rate_on *. rate_on)) +. (m_off *. m_off) in
+      let cycle = m_on +. m_off in
+      let var_c = (m_on *. m_on) +. (m_off *. m_off) in
       let var_x =
         (rate_on *. m_on)
         +. (rate_on *. rate_on *. m_on *. m_on)
-        +. (rate *. rate *. var_c)
-        -. (2.0 *. rate *. rate_on *. m_on *. m_on)
+        +. (rate_pps *. rate_pps *. var_c)
+        -. (2.0 *. rate_pps *. rate_on *. m_on *. m_on)
       in
       let sigma = sqrt (t *. var_x /. cycle) in
       let cross = float_of_int (enqueued - fires) in
-      Float.abs (cross -. (rate *. t)) <= (5.0 *. sigma) +. (rate_on *. m_on) +. 1.0)
+      Float.abs (cross -. (rate_pps *. t))
+      <= (5.0 *. sigma) +. (rate_on *. m_on) +. 1.0)
 
 let suite =
   [
