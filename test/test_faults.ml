@@ -454,7 +454,29 @@ let test_degradation_zero_faults_matches_baseline () =
     <= 0.2);
   let ovh = point.Scenarios.Degradation.overhead in
   if Float.abs (ovh -. sys_overhead) > 0.1 then
-    Alcotest.failf "overhead %.3f far from baseline %.3f" ovh sys_overhead
+    Alcotest.failf "overhead %.3f far from baseline %.3f" ovh sys_overhead;
+  (* Exactly, not within noise: with no fault a faulty run draws what
+     [System.run] draws, so the same seed, timer, jitter, rate and packet
+     size with no hops give the same PIATs bit for bit. *)
+  let cfg = { Scenarios.Degradation.default_config with seed } in
+  let faulty = Scenarios.Degradation.run_faulty cfg ~piats in
+  let plain =
+    Scenarios.System.run
+      {
+        Scenarios.System.default_config with
+        seed;
+        timer = cfg.timer;
+        jitter = cfg.jitter;
+        payload_rate_pps = cfg.payload_rate_pps;
+        packet_size = cfg.packet_size;
+        warmup_piats = cfg.warmup_piats;
+      }
+      ~piats
+  in
+  let hex a = Array.to_list (Array.map (Printf.sprintf "%h") a) in
+  Alcotest.(check (list string)) "zero-fault PIATs = System.run's"
+    (hex plain.Scenarios.System.piats)
+    (hex faulty.Scenarios.Degradation.piats)
 
 let test_degradation_loss_leaks_to_gap_aware_adversary () =
   let piats = 6_000 and sample_size = 200 in

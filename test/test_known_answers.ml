@@ -395,6 +395,394 @@ let check v () =
   Alcotest.(check int) "payload delivered" v.delivered r.System.payload_delivered;
   Alcotest.(check string) "sim time" v.sim_time (hex r.System.sim_time)
 
+
+(* Known answers for [Degradation.run_faulty]: the fault-free profile,
+   intensities 0.05 and 0.2, and a profile with every injector hot
+   (bursty Gilbert-Elliott loss, duplication, reordering, a drifting
+   clock that misses fires and catches up, flapping, and a gateway that
+   crashes every 5 s on average), each at two seeds.  Recorded from the
+   discrete-event fault injectors; [counters] are the run's deltas of
+   [fault_counters], in that order. *)
+
+module D = Scenarios.Degradation
+
+type faulty_vector = {
+  profile : string;
+  seed : int;
+  piats : string list;  (** the first 16 post-warm-up PIATs *)
+  n_piats : int;
+  overhead : string;
+  payload_offered : int;
+  payload_delivered : int;
+  payload_dropped_gw : int;
+  lost_wire : int;
+  lost_outage : int;
+  lost_crash : int;
+  crashes : int;
+  gw_downtime : string;
+  mean_payload_latency : string;
+  sim_time : string;
+  counters : int list;
+}
+
+let hot_profile =
+  {
+    D.loss =
+      Faults.Lossy.Gilbert_elliott
+        { p_good_to_bad = 0.05; p_bad_to_good = 0.3; loss_good = 0.01; loss_bad = 0.5 };
+    dup_prob = 0.05;
+    reorder_prob = 0.05;
+    reorder_delay = 0.005;
+    clock =
+      {
+        Faults.Clock.drift = 0.001;
+        miss_prob = 0.1;
+        coalesce = false;
+        max_consecutive_misses = 3;
+      };
+    flap = Some (2.0, 0.05);
+    mtbf = 5.0;
+    restart_delay = 0.2;
+  }
+
+let profile_named = function
+  | "hot" -> hot_profile
+  | x -> D.profile_of_intensity (float_of_string x)
+
+let fault_counters =
+  [
+    "faults.clock.missed_fires";
+    "faults.crash.crashes";
+    "faults.crash.payload_lost";
+    "faults.lossy.lost";
+    "faults.lossy.duplicated";
+    "faults.lossy.reordered";
+    "faults.outage.outages";
+    "faults.outage.dropped";
+  ]
+
+let faulty_piats = 1500
+
+let faulty_vectors =
+  [
+    {
+      profile = "0";
+      seed = 11;
+      piats =
+        [
+          "0x1.47b940039c2p-7";
+          "0x1.4795a5bc14ap-7";
+          "0x1.47bf48af258p-7";
+          "0x1.47b77daa796p-7";
+          "0x1.47ad587c9c6p-7";
+          "0x1.47a1db4f315p-7";
+          "0x1.47e122921bcp-7";
+          "0x1.477d01e03f4p-7";
+          "0x1.47b1067fbe8p-7";
+          "0x1.47a70bc5e8bp-7";
+          "0x1.47b82060521p-7";
+          "0x1.47a5b053286p-7";
+          "0x1.47af390b583p-7";
+          "0x1.47aa3d4bc94p-7";
+          "0x1.47afb0908d9p-7";
+          "0x1.47b6420ee1dp-7";
+        ];
+      n_piats = 1500;
+      overhead = "0x1.c9ce4c0d2c9cep-1";
+      payload_offered = 181;
+      payload_delivered = 181;
+      payload_dropped_gw = 0;
+      lost_wire = 0;
+      lost_outage = 0;
+      lost_crash = 0;
+      crashes = 0;
+      gw_downtime = "0x0p+0";
+      mean_payload_latency = "0x1.6728bb8a472d6p-8";
+      sim_time = "0x1.119999999999fp+4";
+      counters = [ 0; 0; 0; 0; 0; 0; 0; 0 ];
+    };
+    {
+      profile = "0";
+      seed = 2027;
+      piats =
+        [
+          "0x1.479ede2bf94p-7";
+          "0x1.47b64be8fbep-7";
+          "0x1.47b73e31767p-7";
+          "0x1.47ab933b5a2p-7";
+          "0x1.47a4aee253dp-7";
+          "0x1.47b1a7d5b0bp-7";
+          "0x1.47b85cb048bp-7";
+          "0x1.47bbbefd26bp-7";
+          "0x1.4794659145ep-7";
+          "0x1.47af42a5e3dp-7";
+          "0x1.47a9a8e2cefp-7";
+          "0x1.47a215b22bdp-7";
+          "0x1.47b42514106p-7";
+          "0x1.47ab91c4734p-7";
+          "0x1.47c4dd3af5bp-7";
+          "0x1.47a53089123p-7";
+        ];
+      n_piats = 1500;
+      overhead = "0x1.d2308158ed231p-1";
+      payload_offered = 153;
+      payload_delivered = 153;
+      payload_dropped_gw = 0;
+      lost_wire = 0;
+      lost_outage = 0;
+      lost_crash = 0;
+      crashes = 0;
+      gw_downtime = "0x0p+0";
+      mean_payload_latency = "0x1.52eb37daa72acp-8";
+      sim_time = "0x1.119999999999fp+4";
+      counters = [ 0; 0; 0; 0; 0; 0; 0; 0 ];
+    };
+    {
+      profile = "0.05";
+      seed = 11;
+      piats =
+        [
+          "0x1.47b79c87289p-7";
+          "0x1.47b2a0c799ap-7";
+          "0x1.47b8140c5dfp-7";
+          "0x1.47bea58ab23p-7";
+          "0x1.47d51cb307p-7";
+          "0x1.478981f2f0ap-7";
+          "0x1.47bf90c1f12p-7";
+          "0x1.47b5359a612p-7";
+          "0x1.47b839f2215p-7";
+          "0x1.47bc090def1p-7";
+          "0x1.47c2fda18cap-7";
+          "0x1.479cb7cdcfap-7";
+          "0x1.47c9a526184p-7";
+          "0x1.47ad2f12d17p-7";
+          "0x1.47bf4a1a042p-7";
+          "0x1.47c94ecd61dp-7";
+        ];
+      n_piats = 1500;
+      overhead = "0x1.c9d254d034316p-1";
+      payload_offered = 191;
+      payload_delivered = 178;
+      payload_dropped_gw = 0;
+      lost_wire = 99;
+      lost_outage = 0;
+      lost_crash = 0;
+      crashes = 0;
+      gw_downtime = "0x0p+0";
+      mean_payload_latency = "0x1.93c70d9a667ccp-8";
+      sim_time = "0x1.2762762762763p+4";
+      counters = [ 40; 0; 0; 99; 9; 8; 0; 0 ];
+    };
+    {
+      profile = "0.05";
+      seed = 2027;
+      piats =
+        [
+          "0x1.47cd40b6c61p-7";
+          "0x1.47ad9404e29p-7";
+          "0x1.47b5e950f08p-7";
+          "0x1.47e662fb3b9p-7";
+          "0x1.478a2a4bc8fp-7";
+          "0x1.47b1a16b59dp-7";
+          "0x1.47b262123618p-6";
+          "0x1.47b9d3d1b31p-7";
+          "0x1.47c4a52538ap-7";
+          "0x1.47b9b237542p-7";
+          "0x1.479a9880593p-7";
+          "0x1.47be90e473fp-6";
+          "0x1.47c2a624bcb8p-6";
+          "0x1.47996930f51p-7";
+          "0x1.47cefcfcebdp-7";
+          "0x1.47a17022f93p-7";
+        ];
+      n_piats = 1500;
+      overhead = "0x1.d1ec40ae016e5p-1";
+      payload_offered = 161;
+      payload_delivered = 156;
+      payload_dropped_gw = 0;
+      lost_wire = 80;
+      lost_outage = 0;
+      lost_crash = 0;
+      crashes = 0;
+      gw_downtime = "0x0p+0";
+      mean_payload_latency = "0x1.74e2fef305d11p-8";
+      sim_time = "0x1.25670598c5567p+4";
+      counters = [ 44; 0; 0; 80; 7; 4; 0; 0 ];
+    };
+    {
+      profile = "0.2";
+      seed = 11;
+      piats =
+        [
+          "0x1.47f1b235e558p-6";
+          "0x1.47944a7b73p-7";
+          "0x1.47bd1023f5dp-7";
+          "0x1.47dad8653e5p-7";
+          "0x1.47cf18aed408p-6";
+          "0x1.47d8b25c74bp-6";
+          "0x1.47c4fa19b85p-7";
+          "0x1.47d3149332p-7";
+          "0x1.47c71f8c14fp-7";
+          "0x1.47d82316be3p-7";
+          "0x1.47cb229f955p-7";
+          "0x1.47d34b19852p-6";
+          "0x1.47cb3f8f18bp-7";
+          "0x1.47ce888ffc1p-7";
+          "0x1.47d053c0b2ap-5";
+          "0x1.47f83a8750ep-7";
+        ];
+      n_piats = 1500;
+      overhead = "0x1.c7bddf2ec230ap-1";
+      payload_offered = 228;
+      payload_delivered = 182;
+      payload_dropped_gw = 0;
+      lost_wire = 409;
+      lost_outage = 0;
+      lost_crash = 0;
+      crashes = 0;
+      gw_downtime = "0x0p+0";
+      mean_payload_latency = "0x1.9c6e3d7b35ad9p-8";
+      sim_time = "0x1.6eaaaaaaaaaaep+4";
+      counters = [ 215; 0; 0; 409; 40; 35; 0; 0 ];
+    };
+    {
+      profile = "0.2";
+      seed = 2027;
+      piats =
+        [
+          "0x1.47ea58b36edp-7";
+          "0x1.47cbc13498dp-7";
+          "0x1.47be05bd29bp-7";
+          "0x1.ebc8b9d05638p-6";
+          "0x1.47b0b6906adp-7";
+          "0x1.47d12d8d319p-7";
+          "0x1.47d285424f18p-6";
+          "0x1.47d9debfb54p-7";
+          "0x1.47bddcd9921p-7";
+          "0x1.47ed82a6af1p-7";
+          "0x1.47c0fdc76f2p-7";
+          "0x1.ebb52d65ec18p-6";
+          "0x1.47d671eda82p-6";
+          "0x1.47a57a22e27p-7";
+          "0x1.48057731877p-7";
+          "0x1.ebad45d3c4ep-6";
+        ];
+      n_piats = 1500;
+      overhead = "0x1.cc99f29776efep-1";
+      payload_offered = 207;
+      payload_delivered = 178;
+      payload_dropped_gw = 0;
+      lost_wire = 391;
+      lost_outage = 0;
+      lost_crash = 0;
+      crashes = 0;
+      gw_downtime = "0x0p+0";
+      mean_payload_latency = "0x1.ba471a70ab5fbp-8";
+      sim_time = "0x1.6eaaaaaaaaaaep+4";
+      counters = [ 228; 0; 0; 391; 34; 32; 0; 0 ];
+    };
+    {
+      profile = "hot";
+      seed = 11;
+      piats =
+        [
+          "0x1.4803b94c748p-7";
+          "0x1.483d4d09a09p-7";
+          "0x1.47bef8319f8p-7";
+          "0x1.481524806b7p-7";
+          "0x1.47f8ae6d24ap-7";
+          "0x1.480ac974575p-7";
+          "0x1.47ecfc73f6bp-7";
+          "0x0p+0";
+          "0x1.48125c2216bp-7";
+          "0x1.d5e1f0095e5p-7";
+          "0x1.364668f87b9ep-4";
+          "0x1.2828e3bp-22";
+          "0x1.47fec535f73p-7";
+          "0x1.47fd8d745dap-7";
+          "0x1.47fa4e8f1a1p-7";
+          "0x1.48246207fbcp-7";
+        ];
+      n_piats = 1500;
+      overhead = "0x1.cbd766a024169p-1";
+      payload_offered = 201;
+      payload_delivered = 173;
+      payload_dropped_gw = 0;
+      lost_wire = 128;
+      lost_outage = 49;
+      lost_crash = 16;
+      crashes = 8;
+      gw_downtime = "0x1.9999999999988p+0";
+      mean_payload_latency = "0x1.d36ffff7c6de4p-8";
+      sim_time = "0x1.3d37a6f4de9c2p+4";
+      counters = [ 179; 8; 16; 128; 79; 93; 13; 49 ];
+    };
+    {
+      profile = "hot";
+      seed = 2027;
+      piats =
+        [
+          "0x1.0e72a55bp-19";
+          "0x1.47f2c1021cdp-7";
+          "0x1.480a2ebf1f7p-7";
+          "0x1.480b21079ap-7";
+          "0x1.47ff76117dbp-7";
+          "0x1.47f891b8776p-7";
+          "0x1.4803c0fe6c9p-6";
+          "0x1.2abb137dp-19";
+          "0x1.480fa1d34a4p-7";
+          "0x0p+0";
+          "0x1.47e84867697p-7";
+          "0x1.4803257c076p-7";
+          "0x1.47fd8bb8f28p-7";
+          "0x1.47f5f8884f6p-7";
+          "0x1.4804ff9d9c68p-6";
+          "0x1.78315898p-21";
+        ];
+      n_piats = 1500;
+      overhead = "0x1.d2f1138404979p-1";
+      payload_offered = 162;
+      payload_delivered = 162;
+      payload_dropped_gw = 0;
+      lost_wire = 126;
+      lost_outage = 19;
+      lost_crash = 5;
+      crashes = 3;
+      gw_downtime = "0x1.3333333333328p-1";
+      mean_payload_latency = "0x1.994ea3e90b72ap-8";
+      sim_time = "0x1.27a6f4de9bd3cp+4";
+      counters = [ 187; 3; 5; 126; 88; 79; 6; 19 ];
+    };
+  ]
+
+let counter_value name =
+  Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ()) name
+
+let check_faulty v () =
+  let before = List.map counter_value fault_counters in
+  let r =
+    D.run_faulty
+      { D.default_config with seed = v.seed; profile = profile_named v.profile }
+      ~piats:faulty_piats
+  in
+  let deltas = List.map2 (fun n b -> counter_value n - b) fault_counters before in
+  let first = List.filteri (fun i _ -> i < 16) (Array.to_list r.D.piats) in
+  Alcotest.(check (list string)) "first 16 PIATs" v.piats (List.map hex first);
+  Alcotest.(check int) "PIAT count" v.n_piats (Array.length r.D.piats);
+  Alcotest.(check string) "overhead" v.overhead (hex r.D.overhead);
+  Alcotest.(check int) "payload offered" v.payload_offered r.D.payload_offered;
+  Alcotest.(check int) "payload delivered" v.payload_delivered r.D.payload_delivered;
+  Alcotest.(check int) "gateway drops" v.payload_dropped_gw r.D.payload_dropped_gw;
+  Alcotest.(check int) "lost on the wire" v.lost_wire r.D.lost_wire;
+  Alcotest.(check int) "lost to outages" v.lost_outage r.D.lost_outage;
+  Alcotest.(check int) "lost to crashes" v.lost_crash r.D.lost_crash;
+  Alcotest.(check int) "crashes" v.crashes r.D.crashes;
+  Alcotest.(check string) "gateway downtime" v.gw_downtime (hex r.D.gw_downtime);
+  Alcotest.(check string) "mean payload latency" v.mean_payload_latency
+    (hex r.D.mean_payload_latency);
+  Alcotest.(check string) "sim time" v.sim_time (hex r.D.sim_time);
+  Alcotest.(check (list int)) "fault counter deltas" v.counters deltas
+
 let suite =
   List.map
     (fun v ->
@@ -402,3 +790,9 @@ let suite =
         (Printf.sprintf "%s %s seed=%d" v.entry v.layout v.seed)
         `Quick (check v))
     vectors
+  @ List.map
+      (fun v ->
+        Alcotest.test_case
+          (Printf.sprintf "faulty %s seed=%d" v.profile v.seed)
+          `Quick (check_faulty v))
+      faulty_vectors
