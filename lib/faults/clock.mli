@@ -10,12 +10,11 @@
     signatures are visible to a tap and neither appears in the closed-form
     theorems.
 
-    The faults are expressed as a stateful interval generator layered onto
-    an unmodified {!Padding.Timer.law}; plug the result into
-    [Padding.Gateway.create ~interval] (or any {!Desim.Sim.every} train).
-    One generator serves one timer train; it survives gateway restarts. *)
+    A spec is a timer-law variant of the fused gateway kernel
+    ({!Padding.Kernel.clock}, where the arithmetic is stated); this module
+    names the spec and checks it. *)
 
-type spec = {
+type spec = Padding.Kernel.clock = {
   drift : float;
       (** Fractional clock-rate error: intervals are scaled by
           [1. +. drift].  Must be > -1 (a clock cannot run backwards). *)
@@ -25,26 +24,15 @@ type spec = {
   coalesce : bool;
       (** [true]: missed fires are absorbed — the wire sees one interval
           of (k+1) periods.  [false]: after the overrun, the k missed
-          fires are replayed back-to-back at {!catchup_spacing}. *)
+          fires are replayed back-to-back at
+          {!Padding.Kernel.catchup_spacing}. *)
   max_consecutive_misses : int;
       (** Cap on k, >= 1; bounds the hole/burst length. *)
 }
 
 val ideal : spec
-(** No drift, no misses — the identity layer. *)
+(** No drift, no misses — the plain timer law. *)
 
 val validate : spec -> unit
-
-val catchup_spacing : float
-(** Spacing of replayed catch-up fires (1 µs): effectively back-to-back
-    relative to a millisecond-scale period, but strictly positive as
-    {!Desim.Sim.every} requires. *)
-
-val intervals :
-  ?sim:Desim.Sim.t ->
-  spec -> law:Padding.Timer.law -> rng:Prng.Rng.t -> unit -> float
-(** [intervals spec ~law ~rng] is a generator of successive faulty
-    intervals; with [spec = ideal] it is distributionally identical to
-    drawing from [law] directly.  Pass [?sim] to timestamp the
-    [timer.miss] / [timer.catchup] events in the [Obs.Trace] stream;
-    the generator itself never reads the clock. *)
+(** Raises [Invalid_argument] unless [drift > -1], [miss_prob] is in
+    \[0, 1) and [max_consecutive_misses >= 1]. *)

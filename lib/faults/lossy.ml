@@ -33,43 +33,81 @@ let expected_loss_rate = function
         ((1.0 -. pi_bad) *. loss_good) +. (pi_bad *. loss_bad)
 
 type t = {
-  sim : Desim.Sim.t;
-  rng : Prng.Rng.t;
-  loss : loss_model;
-  dup_prob : float;
-  reorder_prob : float;
-  reorder_delay : float;
-  dest : Netsim.Link.port;
+  regs : floatarray; (* 0 instant of the last output *)
+  mutable held_t : floatarray; (* held packets by due time; equal: FIFO *)
+  mutable held_tag : floatarray;
+  mutable held_n : int;
+  out_t : Netsim.Fvec.t;
+  out_tag : Netsim.Fvec.t;
+  trace : Netsim.Tracebuf.t;
+  mutable in_t : Netsim.Fvec.t;
+  mutable in_tag : Netsim.Fvec.t;
+  mutable rng : Prng.Rng.t;
+  mutable loss : loss_model;
+  mutable dup_prob : float;
+  mutable reorder_prob : float;
+  mutable reorder_delay : float;
   mutable bad_state : bool;
-  mutable offered : int;
-  mutable passed : int;
+  mutable out_nth : int; (* outputs so far at the last output's instant *)
   mutable lost : int;
   mutable duplicated : int;
   mutable reordered : int;
+  mutable max_held : int;
+  mutable events : int; (* held deliveries this chunk *)
 }
 
-let create sim ~rng ?(loss = No_loss) ?(dup_prob = 0.0) ?(reorder_prob = 0.0)
-    ?(reorder_delay = 0.005) ~dest () =
+let create () =
+  let empty = Netsim.Fvec.create ~capacity:1 () in
+  {
+    regs = Float.Array.make 1 neg_infinity;
+    held_t = Float.Array.create 16;
+    held_tag = Float.Array.create 16;
+    held_n = 0;
+    out_t = Netsim.Fvec.create ~capacity:1024 ();
+    out_tag = Netsim.Fvec.create ~capacity:1024 ();
+    trace = Netsim.Tracebuf.create ();
+    in_t = empty;
+    in_tag = empty;
+    rng = Prng.Rng.create ~seed:0;
+    loss = No_loss;
+    dup_prob = 0.0;
+    reorder_prob = 0.0;
+    reorder_delay = 0.005;
+    bad_state = false;
+    out_nth = 0;
+    lost = 0;
+    duplicated = 0;
+    reordered = 0;
+    max_held = 0;
+    events = 0;
+  }
+
+let configure t ~rng ~loss ~dup_prob ~reorder_prob ~reorder_delay ~in_t
+    ~in_tag =
   validate_loss loss;
   check_prob ~name:"dup_prob" dup_prob;
   check_prob ~name:"reorder_prob" reorder_prob;
   if not (reorder_delay > 0.0) then
     invalid_arg "Lossy: reorder_delay must be positive";
-  {
-    sim;
-    rng;
-    loss;
-    dup_prob;
-    reorder_prob;
-    reorder_delay;
-    dest;
-    bad_state = false;
-    offered = 0;
-    passed = 0;
-    lost = 0;
-    duplicated = 0;
-    reordered = 0;
-  }
+  Float.Array.set t.regs 0 neg_infinity;
+  t.held_n <- 0;
+  Netsim.Fvec.clear t.out_t;
+  Netsim.Fvec.clear t.out_tag;
+  Netsim.Tracebuf.clear t.trace;
+  t.in_t <- in_t;
+  t.in_tag <- in_tag;
+  t.rng <- rng;
+  t.loss <- loss;
+  t.dup_prob <- dup_prob;
+  t.reorder_prob <- reorder_prob;
+  t.reorder_delay <- reorder_delay;
+  t.bad_state <- false;
+  t.out_nth <- 0;
+  t.lost <- 0;
+  t.duplicated <- 0;
+  t.reordered <- 0;
+  t.max_held <- 0;
+  t.events <- 0
 
 let drops t =
   match t.loss with
@@ -85,54 +123,116 @@ let drops t =
       if flip then t.bad_state <- not t.bad_state;
       Prng.Rng.float t.rng < if t.bad_state then loss_bad else loss_good
 
-let m_lost = Obs.Metrics.counter "faults.lossy.lost"
-let m_duplicated = Obs.Metrics.counter "faults.lossy.duplicated"
-let m_reordered = Obs.Metrics.counter "faults.lossy.reordered"
+(* Outputs so far at [time]: the ordinal of the next packet leaving at
+   [time], which the records about it carry. *)
+let[@inline] nth_at t time =
+  let last = Float.Array.get t.regs 0 in
+  if time = last then t.out_nth else 0
 
-let trace_pkt t name extra pkt =
+let[@inline] output t time tag =
+  t.out_nth <- nth_at t time + 1;
+  Float.Array.set t.regs 0 time;
+  Netsim.Fvec.push t.out_t time;
+  Netsim.Fvec.push t.out_tag tag
+
+let[@inline] record t ~key ~code tag =
   if Obs.Trace.enabled () then
-    Obs.Trace.event ~name ~t:(Desim.Sim.now t.sim)
-      (extra
-      @ [ ("kind", Obs.Trace.S (Netsim.Packet.kind_to_string pkt.Netsim.Packet.kind)) ])
+    Netsim.Tracebuf.push_nth t.trace ~key ~nth:(nth_at t key) ~code ~x:tag
+      ~y:0.0
 
-let deliver t pkt =
-  t.passed <- t.passed + 1;
-  t.dest pkt
+let grow_held t =
+  let n = 2 * Float.Array.length t.held_t in
+  let held_t = Float.Array.create n and held_tag = Float.Array.create n in
+  Float.Array.blit t.held_t 0 held_t 0 t.held_n;
+  Float.Array.blit t.held_tag 0 held_tag 0 t.held_n;
+  t.held_t <- held_t;
+  t.held_tag <- held_tag
 
-let send t pkt =
-  t.offered <- t.offered + 1;
+(* Insert in due-time order, after the packets due at the same time. *)
+let hold t due tag =
+  if t.held_n = Float.Array.length t.held_t then grow_held t;
+  let j = ref t.held_n in
+  let shifting = ref true in
+  while !shifting && !j > 0 do
+    let before = Float.Array.get t.held_t (!j - 1) in
+    if before > due then begin
+      Float.Array.set t.held_t !j before;
+      Float.Array.set t.held_tag !j (Float.Array.get t.held_tag (!j - 1));
+      decr j
+    end
+    else shifting := false
+  done;
+  Float.Array.set t.held_t !j due;
+  Float.Array.set t.held_tag !j tag;
+  t.held_n <- t.held_n + 1;
+  if t.held_n > t.max_held then t.max_held <- t.held_n
+
+let[@inline] release t =
+  let due = Float.Array.get t.held_t 0 and tag = Float.Array.get t.held_tag 0 in
+  t.held_n <- t.held_n - 1;
+  Float.Array.blit t.held_t 1 t.held_t 0 t.held_n;
+  Float.Array.blit t.held_tag 1 t.held_tag 0 t.held_n;
+  t.events <- t.events + 1;
+  output t due tag
+
+(* One upstream packet at [now]. *)
+let[@inline] send t now tag =
   if drops t then begin
     t.lost <- t.lost + 1;
-    Obs.Metrics.incr m_lost;
-    trace_pkt t "packet.dropped" [ ("cause", Obs.Trace.S "loss") ] pkt
+    record t ~key:now ~code:Netsim.Tracebuf.drop_loss tag
   end
   else begin
-    (if t.reorder_prob > 0.0 && Prng.Rng.float t.rng < t.reorder_prob then begin
-       t.reordered <- t.reordered + 1;
-       Obs.Metrics.incr m_reordered;
-       trace_pkt t "packet.reordered" [] pkt;
-       let hold =
-         Prng.Rng.float_range t.rng ~lo:0.0 ~hi:t.reorder_delay
-         +. (t.reorder_delay *. 1e-9)
-       in
-       ignore (Desim.Sim.after t.sim ~delay:hold (fun () -> deliver t pkt)
-               : Desim.Sim.handle)
-     end
-     else deliver t pkt);
+    if t.reorder_prob > 0.0 && Prng.Rng.float t.rng < t.reorder_prob then begin
+      t.reordered <- t.reordered + 1;
+      record t ~key:now ~code:Netsim.Tracebuf.reordered tag;
+      let hold_for =
+        Prng.Rng.float_range t.rng ~lo:0.0 ~hi:t.reorder_delay
+        +. (t.reorder_delay *. 1e-9)
+      in
+      hold t (now +. hold_for) tag
+    end
+    else output t now tag;
     if t.dup_prob > 0.0 && Prng.Rng.float t.rng < t.dup_prob then begin
       t.duplicated <- t.duplicated + 1;
-      Obs.Metrics.incr m_duplicated;
-      trace_pkt t "packet.dup" [] pkt;
-      deliver t pkt
+      record t ~key:now ~code:Netsim.Tracebuf.dup tag;
+      output t now tag
     end
   end
 
-let port t = send t
-let offered t = t.offered
-let passed t = t.passed
+let advance t ~until =
+  Netsim.Fvec.clear t.out_t;
+  Netsim.Fvec.clear t.out_tag;
+  t.events <- 0;
+  let n = Netsim.Fvec.length t.in_t in
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let due =
+      if t.held_n > 0 then Float.Array.get t.held_t 0 else infinity
+    in
+    let next = if !i < n then Netsim.Fvec.unsafe_get t.in_t !i else infinity in
+    if due <= next && due <= until then release t
+    else if !i < n then begin
+      send t next (Netsim.Fvec.unsafe_get t.in_tag !i);
+      incr i
+    end
+    else continue := false
+  done
+
+let out_times t = t.out_t
+let out_tags t = t.out_tag
+let trace t = t.trace
+let chunk_events t = t.events
+let max_pending t = t.max_held
 let lost t = t.lost
 let duplicated t = t.duplicated
 let reordered t = t.reordered
 
-let loss_rate t =
-  if t.offered = 0 then 0.0 else float_of_int t.lost /. float_of_int t.offered
+let m_lost = Obs.Metrics.counter "faults.lossy.lost"
+let m_duplicated = Obs.Metrics.counter "faults.lossy.duplicated"
+let m_reordered = Obs.Metrics.counter "faults.lossy.reordered"
+
+let flush t =
+  Obs.Metrics.add m_lost t.lost;
+  Obs.Metrics.add m_duplicated t.duplicated;
+  Obs.Metrics.add m_reordered t.reordered

@@ -1,15 +1,17 @@
-(** Lossy-wire combinator: wraps any {!Netsim.Link.port} with packet loss,
-    duplication, and bounded reordering.
+(** Lossy wire: packet loss, duplication and bounded reordering, as a
+    stream stage between the gateway and the tap.
 
     The paper's channel is fault-free; a real wire is not.  Every fault
     here punctures or perturbs the constant-rate cover stream and therefore
     hands the adversary side information the closed-form theorems never see
     — the degradation scenario quantifies exactly how much.
 
-    The combinator is transparent to both endpoints: upstream keeps pushing
-    into {!port}, downstream receives surviving packets at their original
-    (or boundedly delayed) instants.  All randomness comes from the
-    caller-supplied {!Prng.Rng.t}, so faulty runs stay reproducible. *)
+    The stage reads the (time, tag) stream of the stage before it (tag =
+    payload creation time, NaN for a dummy) and writes the surviving
+    packets at their original, or boundedly delayed, instants.  All
+    randomness comes from the caller-supplied {!Prng.Rng.t}, so faulty
+    runs stay reproducible.  The event-loop wire of the same name in
+    test/evloop/ is its reference. *)
 
 type loss_model =
   | No_loss
@@ -33,33 +35,54 @@ val expected_loss_rate : loss_model -> float
 
 type t
 
-val create :
-  Desim.Sim.t ->
+val create : unit -> t
+(** Reusable scratch (output and trace buffers, the held packets); one
+    per arena, reconfigured per run. *)
+
+val configure :
+  t ->
   rng:Prng.Rng.t ->
-  ?loss:loss_model ->
-  ?dup_prob:float ->
-  ?reorder_prob:float ->
-  ?reorder_delay:float ->
-  dest:Netsim.Link.port ->
-  unit ->
-  t
-(** [loss] defaults to [No_loss]; [dup_prob] (default 0) duplicates a
-    surviving packet immediately; [reorder_prob] (default 0) holds a
-    surviving packet back by a uniform delay in (0, [reorder_delay]]
-    (default 5 ms), letting later packets overtake it — bounded
-    reordering.  Probabilities must lie in \[0, 1); [reorder_delay > 0]. *)
+  loss:loss_model ->
+  dup_prob:float ->
+  reorder_prob:float ->
+  reorder_delay:float ->
+  in_t:Netsim.Fvec.t ->
+  in_tag:Netsim.Fvec.t ->
+  unit
+(** Reset for a new run reading the upstream chunk output
+    [in_t]/[in_tag].  [dup_prob] duplicates a surviving packet at once;
+    [reorder_prob] holds a surviving packet back by uniform(0,
+    [reorder_delay]) + [reorder_delay]·1e-9, letting later packets
+    overtake it.  Probabilities must lie in \[0, 1) and [reorder_delay]
+    must be positive, else [Invalid_argument]. *)
 
-val port : t -> Netsim.Link.port
+val advance : t -> until:float -> unit
+(** Pass the upstream chunk (every packet up to [until]) through the
+    wire, in time order with the held packets due by [until].  For each
+    packet: the loss draw(s); if it survives, the reorder draw (and the
+    hold), then the duplication draw.  A held packet leaves before an
+    upstream packet at its instant and may cross a chunk boundary. *)
 
-val offered : t -> int
-(** Packets pushed into the combinator. *)
+val out_times : t -> Netsim.Fvec.t
+val out_tags : t -> Netsim.Fvec.t
+(** This chunk's surviving packets, time-ordered; a duplicate right
+    after its original.  Valid until the next {!advance}. *)
 
-val passed : t -> int
-(** Packets delivered downstream (duplicates included). *)
+val trace : t -> Netsim.Tracebuf.t
+(** Whole-run deferred [packet.dropped] (cause [loss]) /
+    [packet.reordered] / [packet.dup] records. *)
+
+val chunk_events : t -> int
+(** Held-packet deliveries in the last chunk: the event loop's delayed
+    sends. *)
+
+val max_pending : t -> int
+(** High-water mark of held packets. *)
 
 val lost : t -> int
 val duplicated : t -> int
 val reordered : t -> int
 
-val loss_rate : t -> float
-(** [lost / offered] so far; 0 before any traffic. *)
+val flush : t -> unit
+(** Fold the run's counters into the [faults.lossy.*] registry
+    counters. *)

@@ -1,124 +1,137 @@
 type t = {
-  sim : Desim.Sim.t;
-  dest : Netsim.Link.port;
-  mutable down_depth : int;         (* > 0 means down; windows may overlap *)
-  mutable went_down : float;
-  mutable downtime_acc : float;
+  regs : floatarray; (* 0 next transition, 1 instant of the last input *)
+  out_t : Netsim.Fvec.t;
+  out_tag : Netsim.Fvec.t;
+  trace : Netsim.Tracebuf.t;
+  mutable in_t : Netsim.Fvec.t;
+  mutable in_tag : Netsim.Fvec.t;
+  mutable rng : Prng.Rng.t;
+  mutable mean_up : float;
+  mutable mean_down : float;
+  mutable down : bool;
+  mutable in_nth : int; (* inputs so far at the last input's instant *)
+  mutable gate : bool; (* the flapping gate record is still to count *)
   mutable outages : int;
-  mutable forwarded : int;
   mutable dropped : int;
-  mutable flap_handle : Desim.Sim.handle option;
+  mutable events : int; (* events this chunk *)
 }
 
-let create sim ~dest () =
+let create () =
+  let empty = Netsim.Fvec.create ~capacity:1 () in
   {
-    sim;
-    dest;
-    down_depth = 0;
-    went_down = 0.0;
-    downtime_acc = 0.0;
+    regs = Float.Array.make 2 infinity;
+    out_t = Netsim.Fvec.create ~capacity:1024 ();
+    out_tag = Netsim.Fvec.create ~capacity:1024 ();
+    trace = Netsim.Tracebuf.create ();
+    in_t = empty;
+    in_tag = empty;
+    rng = Prng.Rng.create ~seed:0;
+    mean_up = 1.0;
+    mean_down = 1.0;
+    down = false;
+    in_nth = 0;
+    gate = false;
     outages = 0;
-    forwarded = 0;
     dropped = 0;
-    flap_handle = None;
+    events = 0;
   }
 
-let is_up t = t.down_depth = 0
+let exp_draw t mean = -.mean *. log (Prng.Rng.float_pos t.rng)
+
+let configure t ~rng ~flap ~in_t ~in_tag =
+  Netsim.Fvec.clear t.out_t;
+  Netsim.Fvec.clear t.out_tag;
+  Netsim.Tracebuf.clear t.trace;
+  t.in_t <- in_t;
+  t.in_tag <- in_tag;
+  t.rng <- rng;
+  t.down <- false;
+  t.in_nth <- 0;
+  t.outages <- 0;
+  t.dropped <- 0;
+  t.events <- 0;
+  Float.Array.set t.regs 1 neg_infinity;
+  match flap with
+  | Some (mean_up, mean_down) ->
+      if mean_up <= 0.0 || mean_down <= 0.0 then
+        invalid_arg "Outage.configure: flap means must be positive";
+      t.mean_up <- mean_up;
+      t.mean_down <- mean_down;
+      t.gate <- true;
+      (* The link starts up at simulated 0.0. *)
+      Float.Array.set t.regs 0 (0.0 +. exp_draw t mean_up)
+  | None ->
+      t.gate <- false;
+      Float.Array.set t.regs 0 infinity
+
+let transition t ~now =
+  t.events <- t.events + 1;
+  if t.down then begin
+    t.down <- false;
+    if Obs.Trace.enabled () then
+      Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.outage_end
+        ~x:0.0 ~y:0.0;
+    Float.Array.set t.regs 0 (now +. exp_draw t t.mean_up)
+  end
+  else begin
+    t.down <- true;
+    t.outages <- t.outages + 1;
+    if Obs.Trace.enabled () then
+      Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.outage_start
+        ~x:0.0 ~y:0.0;
+    Float.Array.set t.regs 0 (now +. exp_draw t t.mean_down)
+  end
+
+(* One upstream packet at [now]; records carry its ordinal among the
+   packets of that instant. *)
+let[@inline] pass t now tag =
+  let last = Float.Array.get t.regs 1 in
+  let nth = if now = last then t.in_nth else 0 in
+  Float.Array.set t.regs 1 now;
+  t.in_nth <- nth + 1;
+  if t.down then begin
+    t.dropped <- t.dropped + 1;
+    if Obs.Trace.enabled () then
+      Netsim.Tracebuf.push_nth t.trace ~key:now ~nth
+        ~code:Netsim.Tracebuf.drop_outage ~x:tag ~y:0.0
+  end
+  else begin
+    Netsim.Fvec.push t.out_t now;
+    Netsim.Fvec.push t.out_tag tag
+  end
+
+let advance t ~until =
+  Netsim.Fvec.clear t.out_t;
+  Netsim.Fvec.clear t.out_tag;
+  t.events <- 0;
+  if t.gate then begin
+    t.events <- 1;
+    t.gate <- false
+  end;
+  let n = Netsim.Fvec.length t.in_t in
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let flip = Float.Array.get t.regs 0 in
+    let next = if !i < n then Netsim.Fvec.unsafe_get t.in_t !i else infinity in
+    if flip <= next && flip <= until then transition t ~now:flip
+    else if !i < n then begin
+      pass t next (Netsim.Fvec.unsafe_get t.in_tag !i);
+      incr i
+    end
+    else continue := false
+  done
+
+let out_times t = t.out_t
+let out_tags t = t.out_tag
+let trace t = t.trace
+let chunk_events t = t.events
+let dropped t = t.dropped
+let outages t = t.outages
 
 let m_outages = Obs.Metrics.counter "faults.outage.outages"
 let m_dropped = Obs.Metrics.counter "faults.outage.dropped"
 
-let go_down t =
-  if t.down_depth = 0 then begin
-    t.went_down <- Desim.Sim.now t.sim;
-    t.outages <- t.outages + 1;
-    Obs.Metrics.incr m_outages;
-    if Obs.Trace.enabled () then
-      Obs.Trace.event ~name:"outage.start" ~t:(Desim.Sim.now t.sim) []
-  end;
-  t.down_depth <- t.down_depth + 1
-
-let go_up t =
-  if t.down_depth <= 0 then invalid_arg "Outage: up without matching down";
-  t.down_depth <- t.down_depth - 1;
-  if t.down_depth = 0 then begin
-    t.downtime_acc <- t.downtime_acc +. (Desim.Sim.now t.sim -. t.went_down);
-    if Obs.Trace.enabled () then
-      Obs.Trace.event ~name:"outage.end" ~t:(Desim.Sim.now t.sim) []
-  end
-
-let schedule t ~at ~duration =
-  if duration <= 0.0 || Float.is_nan duration then
-    invalid_arg "Outage.schedule: duration <= 0";
-  ignore (Desim.Sim.at t.sim ~time:at (fun () -> go_down t) : Desim.Sim.handle);
-  ignore
-    (Desim.Sim.at t.sim ~time:(at +. duration) (fun () -> go_up t)
-      : Desim.Sim.handle)
-
-let flap t ~rng ~mean_up ~mean_down =
-  if mean_up <= 0.0 || mean_down <= 0.0 then
-    invalid_arg "Outage.flap: means must be positive";
-  if t.flap_handle <> None then
-    invalid_arg "Outage.flap: already flapping";
-  let exp_draw mean = -.mean *. log (Prng.Rng.float_pos rng) in
-  (* A chain of self-rescheduling events; the master handle gates every
-     link so stop_flapping takes effect at the next transition. *)
-  let master = ref None in
-  let alive () =
-    match !master with Some h -> not (Desim.Sim.cancelled h) | None -> true
-  in
-  let rec up_phase () =
-    if alive () then
-      ignore
-        (Desim.Sim.after t.sim ~delay:(exp_draw mean_up) (fun () ->
-             if alive () then begin
-               go_down t;
-               down_phase ()
-             end)
-          : Desim.Sim.handle)
-  and down_phase () =
-    ignore
-      (Desim.Sim.after t.sim ~delay:(exp_draw mean_down) (fun () ->
-           (* Always come back up — cancelling flapping must not leave the
-              link down forever. *)
-           go_up t;
-           if alive () then up_phase ())
-        : Desim.Sim.handle)
-  in
-  (* Reuse a cancellable sim event as the master switch. *)
-  let h = Desim.Sim.after t.sim ~delay:0.0 (fun () -> ()) in
-  master := Some h;
-  t.flap_handle <- Some h;
-  up_phase ()
-
-let stop_flapping t =
-  match t.flap_handle with
-  | Some h ->
-      Desim.Sim.cancel h;
-      t.flap_handle <- None
-  | None -> ()
-
-let send t pkt =
-  if t.down_depth > 0 then begin
-    t.dropped <- t.dropped + 1;
-    Obs.Metrics.incr m_dropped;
-    if Obs.Trace.enabled () then
-      Obs.Trace.event ~name:"packet.dropped" ~t:(Desim.Sim.now t.sim)
-        [
-          ("cause", Obs.Trace.S "outage");
-          ("kind", Obs.Trace.S (Netsim.Packet.kind_to_string pkt.Netsim.Packet.kind));
-        ]
-  end
-  else begin
-    t.forwarded <- t.forwarded + 1;
-    t.dest pkt
-  end
-
-let port t = send t
-let forwarded t = t.forwarded
-let dropped t = t.dropped
-let outages t = t.outages
-
-let downtime t =
-  t.downtime_acc
-  +. if t.down_depth > 0 then Desim.Sim.now t.sim -. t.went_down else 0.0
+let flush t =
+  Obs.Metrics.add m_outages t.outages;
+  Obs.Metrics.add m_dropped t.dropped

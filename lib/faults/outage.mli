@@ -1,43 +1,55 @@
-(** Link outages and flapping, driven by {!Desim.Sim} events.
+(** Link flapping, as a stream stage between the gateway and the tap.
 
-    An outage injector wraps a {!Netsim.Link.port}: while the link is up,
-    packets flow through untouched; while it is down, they are dropped and
-    counted.  Downtime windows come either from an explicit schedule
-    ({!schedule}) or from a random flapping process ({!flap}) with
-    exponential up/down holding times.
-
-    Overlapping windows nest: the link is down while {e any} window is
-    open.  Every hole the injector punches in the cover stream is visible
-    to the tap downstream — that visibility is the point. *)
+    While the link is up, packets flow through untouched; while it is
+    down, they are dropped and counted.  Downtime comes from a random
+    flapping process with exponential up and down holding times, drawn
+    lazily from the stage's own stream: the link starts up, goes down
+    one up-time draw later, comes back one down-time draw after that,
+    and so on.  Every hole the stage punches in the cover stream is
+    visible to the tap downstream — that visibility is the point.  The
+    event-loop injector of the same name in test/evloop/ is its
+    reference. *)
 
 type t
 
-val create : Desim.Sim.t -> dest:Netsim.Link.port -> unit -> t
+val create : unit -> t
+(** Reusable scratch; one per arena, reconfigured per run. *)
 
-val port : t -> Netsim.Link.port
-val is_up : t -> bool
+val configure :
+  t ->
+  rng:Prng.Rng.t ->
+  flap:(float * float) option ->
+  in_t:Netsim.Fvec.t ->
+  in_tag:Netsim.Fvec.t ->
+  unit
+(** Reset for a new run reading the upstream chunk output
+    [in_t]/[in_tag].  [flap = Some (mean_up, mean_down)] flaps the link
+    (both means > 0, else [Invalid_argument]) and draws the first up
+    time; [None] leaves it up. *)
 
-val schedule : t -> at:float -> duration:float -> unit
-(** Open a downtime window \[[at], [at + duration]) at an absolute
-    simulation time.  Raises [Invalid_argument] if [at] is in the past or
-    [duration <= 0]. *)
+val advance : t -> until:float -> unit
+(** Pass the upstream chunk through, with the link transitions due by
+    [until] in time order; a transition goes before a packet at its
+    instant. *)
 
-val flap :
-  t -> rng:Prng.Rng.t -> mean_up:float -> mean_down:float -> unit
-(** Start a random up/down process: exponential up times with mean
-    [mean_up], then exponential down times with mean [mean_down]
-    (both > 0).  The link starts (and stays) up for the first draw.
-    At most one flapping process per injector; calling twice raises. *)
+val out_times : t -> Netsim.Fvec.t
+val out_tags : t -> Netsim.Fvec.t
+(** This chunk's forwarded packets.  Valid until the next {!advance}. *)
 
-val stop_flapping : t -> unit
-(** Cancel the flapping process (scheduled windows still apply). *)
+val trace : t -> Netsim.Tracebuf.t
+(** Whole-run deferred [outage.start] / [outage.end] / [packet.dropped]
+    (cause [outage]) records. *)
 
-val forwarded : t -> int
+val chunk_events : t -> int
+(** Link transitions in the last chunk, and in the first chunk the
+    event loop's no-op record that gates its flapping. *)
+
 val dropped : t -> int
 (** Packets discarded while down. *)
 
 val outages : t -> int
-(** Number of down transitions so far. *)
+(** Down transitions so far. *)
 
-val downtime : t -> float
-(** Accumulated seconds down, up to the current simulation instant. *)
+val flush : t -> unit
+(** Fold the run's counters into the [faults.outage.*] registry
+    counters. *)

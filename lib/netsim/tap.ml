@@ -1,67 +1,12 @@
-type t = {
-  sim : Desim.Sim.t;
-  accept : Packet.t -> bool;
-  dest : Link.port;
-  times : Fvec.t;
-  sizes : Fvec.t;
-}
-
-(* [buffers] lets a sweep harness hand the tap already-grown Fvecs from a
-   previous run (cleared here), so repeated runs stop re-growing the
-   recording arrays from scratch. *)
-let create sim ?(accept = Packet.is_padded) ?buffers ~dest () =
-  let times, sizes =
-    match buffers with
-    | Some (times, sizes) ->
-        Fvec.clear times;
-        Fvec.clear sizes;
-        (times, sizes)
-    | None -> (Fvec.create ~capacity:1024 (), Fvec.create ~capacity:1024 ())
-  in
-  { sim; accept; dest; times; sizes }
-
 let m_observed = Obs.Metrics.counter "netsim.tap.observed"
 let m_payload = Obs.Metrics.counter "netsim.tap.payload"
 let m_dummy = Obs.Metrics.counter "netsim.tap.dummy"
 
-let port t pkt =
-  if t.accept pkt then begin
-    Obs.Metrics.incr m_observed;
-    (match pkt.Packet.kind with
-    | Packet.Payload -> Obs.Metrics.incr m_payload
-    | Packet.Dummy -> Obs.Metrics.incr m_dummy
-    | Packet.Cross -> ());
-    if Obs.Trace.enabled () then
-      Obs.Trace.event ~name:"tap.observe" ~t:(Desim.Sim.now t.sim)
-        [
-          ("kind", Obs.Trace.S (Packet.kind_to_string pkt.Packet.kind));
-          ("size", Obs.Trace.I pkt.Packet.size_bytes);
-        ];
-    Fvec.push t.times (Desim.Sim.now t.sim);
-    Fvec.push t.sizes (float_of_int pkt.Packet.size_bytes)
-  end;
-  t.dest pkt
-
-(* Batched counter flush for the fused kernels: they record observation
-   timestamps straight into arena Fvecs and fold the per-packet counter
-   increments into one transactional add per run. *)
+(* The tap's counters, flushed once per run by the pipeline's inline tap,
+   which records its timestamps straight into arena buffers. *)
 let note_batch ~observed ~payload ~dummy =
   if observed < 0 || payload < 0 || dummy < 0 then
     invalid_arg "Tap.note_batch: negative count";
   Obs.Metrics.add m_observed observed;
   Obs.Metrics.add m_payload payload;
   Obs.Metrics.add m_dummy dummy
-
-let count t = Fvec.length t.times
-let timestamps t = Fvec.to_array t.times
-let sizes t = Array.map int_of_float (Fvec.to_array t.sizes)
-
-let piats t =
-  let n = Fvec.length t.times in
-  if n < 2 then [||]
-  else
-    Array.init (n - 1) (fun i -> Fvec.get t.times (i + 1) -. Fvec.get t.times i)
-
-let clear t =
-  Fvec.clear t.times;
-  Fvec.clear t.sizes

@@ -1,51 +1,16 @@
-(** Passive observation point — the simulated equivalent of the paper's
-    Agilent J6841A line analyzer.
+(** The adversary's passive observation point — the simulated equivalent
+    of the paper's Agilent J6841A line analyzer — as registry counters.
 
-    A tap is spliced between two components; it timestamps packets matching
-    a predicate and forwards everything untouched.  The default predicate
-    records only the padded stream (payload + dummy): the adversary cannot
-    tell those two apart (contents are encrypted) but can distinguish them
-    from unrelated cross traffic by address, as the paper's adversary
-    does when tapping the gateway-to-gateway flow. *)
-
-type t
-
-val create :
-  Desim.Sim.t ->
-  ?accept:(Packet.t -> bool) ->
-  ?buffers:Fvec.t * Fvec.t ->
-  dest:Link.port ->
-  unit ->
-  t
-(** [accept] defaults to {!Packet.is_padded}.  [buffers] optionally
-    supplies recycled [(times, sizes)] recording vectors (they are
-    cleared on create); sweep harnesses pass arena-owned Fvecs so
-    repeated runs reuse already-grown storage instead of re-allocating
-    and re-growing from scratch. *)
-
-val port : t -> Link.port
-val count : t -> int
-(** Number of recorded packets. *)
+    The staged pipeline records the tap's timestamps inline (see
+    [Scenarios.System]); this module owns the tap's counters.  The tap
+    records only the padded stream (payload + dummy): the adversary
+    cannot tell those two apart (contents are encrypted) but can
+    distinguish them from unrelated cross traffic by address, as the
+    paper's adversary does when tapping the gateway-to-gateway flow.
+    The event-loop recorder that splices into a port chain is kept in
+    test/evloop/ as a reference. *)
 
 val note_batch : observed:int -> payload:int -> dummy:int -> unit
-(** Fold a batch of observations into the tap's registry counters
-    ([netsim.tap.observed] / [.payload] / [.dummy]) in one transactional
-    add — the flush half of the fused kernels' inline tap, which records
-    timestamps directly into arena buffers instead of going through
-    {!port} packet by packet.  Raises [Invalid_argument] on negative
-    counts. *)
-
-val timestamps : t -> float array
-(** Arrival times of recorded packets, in order. *)
-
-val sizes : t -> int array
-(** Sizes (bytes) of recorded packets, in order — the other observable the
-    paper's §3.2 remark (3) assumes away by making packets constant-size;
-    exposed so the size-padding extension can mount size-based attacks. *)
-
-val piats : t -> float array
-(** Packet inter-arrival times: consecutive differences of {!timestamps}
-    (length = count - 1, empty when fewer than 2 packets). *)
-
-val clear : t -> unit
-(** Forget recorded timestamps (the tap keeps forwarding). *)
+(** Fold a run's observations into [netsim.tap.observed] / [.payload] /
+    [.dummy] in one transactional add.  Raises [Invalid_argument] on
+    negative counts. *)

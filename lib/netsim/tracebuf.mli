@@ -12,9 +12,18 @@
     order, not display order — a gateway fire inserts its [packet.sent]
     record, stamped with the later emit time, at fire time).  Within one
     buffer, entries are pushed in processing order and keys are
-    monotone.  The orchestrator merges buffers by key and breaks equal
-    keys by pipeline position: gateway, the hops before the tap, the
-    tap, the hops after it. *)
+    monotone.  The orchestrator merges buffers by key, then by [nth]
+    (below), and breaks what is still equal by pipeline position:
+    gateway, the wire-fault stages, the hops before the tap, the tap,
+    the hops after it.
+
+    [nth] orders records of one instant that concern different packets
+    of that instant: a duplicate leaves a lossy wire at its original's
+    instant, and the event loop finishes the original's journey
+    downstream before it records the duplication and sends the copy.  A
+    stage gives each record the ordinal of its packet among the packets
+    of that instant ([0] for the first), so the original's records come
+    first everywhere and the copy's next. *)
 
 type t
 
@@ -23,11 +32,18 @@ val clear : t -> unit
 val length : t -> int
 
 val push : t -> key:float -> code:float -> x:float -> y:float -> unit
-(** Append one deferred event.  [code] is one of the constants below;
-    [x]/[y] are per-code payload fields (see {!emit}). *)
+(** Append one deferred event with [nth = 0].  [code] is one of the
+    constants below; [x]/[y] are per-code payload fields (see {!emit}). *)
+
+val push_nth :
+  t -> key:float -> nth:int -> code:float -> x:float -> y:float -> unit
+(** {!push} for the [nth] packet of the instant [key]. *)
 
 val key : t -> int -> float
 (** Insertion-time key of entry [i] (unchecked; [i < length t]). *)
+
+val nth : t -> int -> int
+(** Packet ordinal of entry [i] within its instant (unchecked). *)
 
 val emit : t -> int -> unit
 (** Replay entry [i] through {!Obs.Trace.event}. *)
@@ -49,3 +65,28 @@ val drop_payload : float
 val drop_dummy : float
 val drop_cross : float
 (** Link-queue drop of the given kind; displayed at [key]. *)
+
+(** Gateway faults, displayed at [key]: *)
+
+val timer_miss : float
+val timer_catchup : float
+
+val gateway_crash : float
+(** [x] = payload packets queued, lost with the gateway. *)
+
+val gateway_restart : float
+
+val drop_gw_down : float
+(** A payload arrival lost while the gateway is down. *)
+
+(** Wire faults, displayed at [key]; [x] is the packet's tag (NaN for a
+    dummy, which decides the record's [kind]): *)
+
+val drop_loss : float
+val reordered : float
+val dup : float
+val drop_outage : float
+
+val outage_start : float
+val outage_end : float
+(** Link-down and link-up transitions; no payload. *)

@@ -22,17 +22,6 @@ let emit sim t ~size_bytes ~kind ~dest =
 let source () =
   { stopped = false; generated = 0; handle = None; gen = Packet.Id_gen.create () }
 
-let cbr sim ~rate_pps ~size_bytes ~kind ~dest () =
-  if rate_pps <= 0.0 then invalid_arg "Traffic_gen.cbr: rate <= 0";
-  let t = source () in
-  let period = 1.0 /. rate_pps in
-  t.handle <-
-    Some
-      (Desim.Sim.every sim
-         ~interval:(fun () -> period)
-         (fun () -> emit sim t ~size_bytes ~kind ~dest));
-  t
-
 let poisson sim ~rng ~rate_pps ~size_bytes ~kind ~dest () =
   if rate_pps <= 0.0 then invalid_arg "Traffic_gen.poisson: rate <= 0";
   let t = source () in
@@ -41,16 +30,6 @@ let poisson sim ~rng ~rate_pps ~size_bytes ~kind ~dest () =
       (Desim.Sim.every sim
          ~interval:(fun () -> Prng.Sampler.exponential rng ~rate:rate_pps)
          (fun () -> emit sim t ~size_bytes ~kind ~dest));
-  t
-
-let poisson_sized sim ~rng ~rate_pps ~size_of ~kind ~dest () =
-  if rate_pps <= 0.0 then invalid_arg "Traffic_gen.poisson_sized: rate <= 0";
-  let t = source () in
-  t.handle <-
-    Some
-      (Desim.Sim.every sim
-         ~interval:(fun () -> Prng.Sampler.exponential rng ~rate:rate_pps)
-         (fun () -> emit sim t ~size_bytes:(size_of rng) ~kind ~dest));
   t
 
 (* Lewis–Shedler thinning: candidate events at rate_max, accepted with

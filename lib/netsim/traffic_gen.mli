@@ -11,17 +11,6 @@ val stop : t -> unit
 val generated : t -> int
 (** Packets emitted so far. *)
 
-val cbr :
-  Desim.Sim.t ->
-  rate_pps:float ->
-  size_bytes:int ->
-  kind:Packet.kind ->
-  dest:Link.port ->
-  unit ->
-  t
-(** Constant bit rate: one packet every [1/rate_pps] seconds, first at one
-    full period.  [rate_pps > 0]. *)
-
 val poisson :
   Desim.Sim.t ->
   rng:Prng.Rng.t ->
@@ -32,19 +21,6 @@ val poisson :
   unit ->
   t
 (** Poisson arrivals (exponential interarrivals) at [rate_pps > 0]. *)
-
-val poisson_sized :
-  Desim.Sim.t ->
-  rng:Prng.Rng.t ->
-  rate_pps:float ->
-  size_of:(Prng.Rng.t -> int) ->
-  kind:Packet.kind ->
-  dest:Link.port ->
-  unit ->
-  t
-(** Poisson arrivals with a per-packet size drawn from [size_of] (must
-    return positive sizes) — variable-size payload for the size-padding
-    extension. *)
 
 val modulated_poisson :
   Desim.Sim.t ->

@@ -18,6 +18,19 @@
    arrivals in the last [window] and the backlog, clamped to the period
    band, and the jitter draw sees no IRQ-blocking arrivals.
 
+   Gateway faults (the event-loop [Faults.Crash] and [Faults.Clock] in
+   test/evloop/ are the reference).  A faulty clock is a timer-law
+   variant on its own stream: each interval is the timer draw scaled by
+   (1 + drift), up to [max_consecutive_misses] fires are masked with
+   probability [miss_prob], and a masked fire is coalesced into the
+   interval or replayed after it as catch-up fires [catchup_spacing]
+   apart.  A crash is a silence window: the queue and the IRQ window are
+   lost, fires stop, pending emissions still leave, arrivals are counted
+   and lost, and at the restart the gateway starts afresh (last emission
+   reset to the restart instant, first fire one interval later, next
+   crash one exponential draw later).  [advance] splits a chunk at crash
+   and restart instants; the fault-free loop is untouched.
+
    Same-instant events: a pending emission goes first (the event loop
    pushed it before the coinciding fire's queue record, and its order
    against an arrival is unobservable: disjoint state, no trace record
@@ -33,8 +46,30 @@ type adaptive = {
   target_queue : float;
 }
 
+type clock = {
+  drift : float;
+  miss_prob : float;
+  coalesce : bool;
+  max_consecutive_misses : int;
+}
+
+let catchup_spacing = 1e-6
+
+type faults = {
+  clock : clock;
+  rng_clock : Prng.Rng.t;
+  mtbf : float;
+  restart_delay : float;
+  rng_failure : Prng.Rng.t;
+}
+
+(* How the fire after a fire is timed. *)
+type law = Fixed | Drifting of clock | Adaptive of adaptive
+
 type t = {
-  regs : floatarray; (* 0 next_fire, 1 last_emit *)
+  regs : floatarray;
+      (* 0 next_fire, 1 last_emit, 2 next crash, 3 restart (infinity while
+         up), 4 the crashed timer's queued fire, 5 went down, 6 downtime *)
   arrivals : Netsim.Train.t; (* payload arrivals *)
   queue : Netsim.Fring.t; (* queued payload creation times *)
   window : Netsim.Fring.t; (* arrivals in the IRQ blocking (or rate) window *)
@@ -45,8 +80,10 @@ type t = {
   out_tag : Netsim.Fvec.t;
   trace : Netsim.Tracebuf.t;
   mutable rng_gateway : Prng.Rng.t;
+  mutable rng_clock : Prng.Rng.t;
   mutable timer : Timer.law;
-  mutable adaptive : adaptive option; (* replaces [timer] when set *)
+  mutable law : law;
+  mutable faults : faults option;
   mutable jitter : Jitter.t;
   mutable packet_size : int;
   mutable arrival_last : bool; (* arrivals re-armed after the timer *)
@@ -54,6 +91,10 @@ type t = {
   mutable payload_sent : int;
   mutable dummy_sent : int;
   mutable generated : int; (* payload arrival events = source emissions *)
+  mutable catchup : int; (* masked fires still to replay *)
+  mutable missed_fires : int;
+  mutable crashes : int;
+  mutable payload_lost : int;
   mutable max_pend : int;
   mutable events : int; (* events this chunk *)
 }
@@ -61,7 +102,7 @@ type t = {
 let create () =
   let dummy_rng = Prng.Rng.create ~seed:0 in
   {
-    regs = Float.Array.make 2 0.0;
+    regs = Float.Array.make 7 0.0;
     arrivals = Netsim.Train.create ();
     queue = Netsim.Fring.create ~capacity:64 ();
     window = Netsim.Fring.create ~capacity:64 ();
@@ -72,8 +113,10 @@ let create () =
     out_tag = Netsim.Fvec.create ~capacity:1024 ();
     trace = Netsim.Tracebuf.create ();
     rng_gateway = dummy_rng;
+    rng_clock = dummy_rng;
     timer = Timer.Constant 0.010;
-    adaptive = None;
+    law = Fixed;
+    faults = None;
     jitter = Jitter.none;
     packet_size = 500;
     arrival_last = true;
@@ -81,16 +124,80 @@ let create () =
     payload_sent = 0;
     dummy_sent = 0;
     generated = 0;
+    catchup = 0;
+    missed_fires = 0;
+    crashes = 0;
+    payload_lost = 0;
     max_pend = 0;
     events = 0;
   }
 
-let configure ?(payload = `Poisson) ?adaptive t ~rng_payload ~rng_gateway ~timer
-    ~jitter ~packet_size ~payload_rate =
+(* The faulty clock's interval: the drifted timer draw, plus one more for
+   each masked fire; the masked fires are replayed afterwards unless
+   they coalesce.  Inlined into the fire, so no float is boxed. *)
+let[@inline] drifted t (c : clock) =
+  Timer.draw t.timer t.rng_clock *. (1.0 +. c.drift)
+
+let[@inline] drifting t (c : clock) ~now =
+  if t.catchup > 0 then begin
+    t.catchup <- t.catchup - 1;
+    if Obs.Trace.enabled () then
+      Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.timer_catchup
+        ~x:0.0 ~y:0.0;
+    catchup_spacing
+  end
+  else begin
+    let span = ref (drifted t c) in
+    let missed = ref 0 in
+    while
+      !missed < c.max_consecutive_misses
+      && c.miss_prob > 0.0
+      && Prng.Rng.float t.rng_clock < c.miss_prob
+    do
+      (* This fire is masked; the train reaches the wire one (drifted)
+         period later. *)
+      incr missed;
+      if Obs.Trace.enabled () then
+        Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.timer_miss
+          ~x:0.0 ~y:0.0;
+      span := !span +. drifted t c
+    done;
+    t.missed_fires <- t.missed_fires + !missed;
+    if (not c.coalesce) && !missed > 0 then t.catchup <- !missed;
+    !span
+  end
+
+(* A gateway (re)starting at [now] arms its first fire one interval on;
+   the adaptive one starts at its longest period and draws nothing. *)
+let first_fire t ~now =
+  Float.Array.set t.regs 0
+    (match t.law with
+    | Fixed -> now +. Timer.draw t.timer t.rng_gateway
+    | Drifting c -> now +. drifting t c ~now
+    | Adaptive a -> now +. a.max_period)
+
+let arm_crash t f ~now =
+  Float.Array.set t.regs 2
+    (if f.mtbf < infinity then
+       now +. (-.f.mtbf *. log (Prng.Rng.float_pos f.rng_failure))
+     else infinity)
+
+let is_ideal (c : clock) =
+  c.drift = 0.0 && c.miss_prob = 0.0 && c.coalesce
+  && c.max_consecutive_misses = 1
+
+let setup ~payload ~adaptive ~faults t ~rng_payload ~rng_gateway ~timer ~jitter
+    ~packet_size ~payload_rate =
   (match adaptive with
   | Some (a : adaptive) when a.window <= 0.0 ->
       invalid_arg "Kernel.configure: window <= 0"
   | _ -> ());
+  (match faults with
+  | Some f ->
+      if not (f.mtbf > 0.0) then invalid_arg "Kernel.configure: mtbf <= 0";
+      if not (f.restart_delay > 0.0) then
+        invalid_arg "Kernel.configure: restart_delay <= 0"
+  | None -> ());
   Netsim.Fring.clear t.queue;
   Netsim.Fring.clear t.window;
   Netsim.Fring.clear t.pend_t;
@@ -101,26 +208,43 @@ let configure ?(payload = `Poisson) ?adaptive t ~rng_payload ~rng_gateway ~timer
   Netsim.Tracebuf.clear t.trace;
   t.rng_gateway <- rng_gateway;
   t.timer <- timer;
-  t.adaptive <- adaptive;
+  (* An ideal clock is the plain timer on the gateway stream. *)
+  t.law <-
+    (match (adaptive, faults) with
+    | Some a, _ -> Adaptive a
+    | None, Some f when not (is_ideal f.clock) -> Drifting f.clock
+    | None, _ -> Fixed);
+  t.rng_clock <- (match faults with Some f -> f.rng_clock | None -> rng_gateway);
+  t.faults <- faults;
   t.jitter <- jitter;
   t.packet_size <- packet_size;
   t.fires <- 0;
   t.payload_sent <- 0;
   t.dummy_sent <- 0;
   t.generated <- 0;
+  t.catchup <- 0;
+  t.missed_fires <- 0;
+  t.crashes <- 0;
+  t.payload_lost <- 0;
   t.max_pend <- 0;
   t.events <- 0;
-  (* First fire and first payload arrival are both scheduled at creation
-     time (simulated 0.0) as clock +. first interval, the arrival last.
-     The adaptive gateway starts at its longest period and draws nothing. *)
-  Float.Array.set t.regs 0
-    (match adaptive with
-    | None -> 0.0 +. Timer.draw timer rng_gateway
-    | Some a -> 0.0 +. a.max_period);
+  Float.Array.fill t.regs 2 5 infinity;
+  Float.Array.set t.regs 5 0.0;
+  Float.Array.set t.regs 6 0.0;
+  (* The gateway (its first fire, then its first crash) is created at
+     simulated 0.0, before the payload source arms its first arrival. *)
+  first_fire t ~now:0.0;
   Float.Array.set t.regs 1 0.0 (* last_emit <- Sim.now at create *);
+  (match faults with Some f -> arm_crash t f ~now:0.0 | None -> ());
   Netsim.Train.start t.arrivals ~rng:rng_payload ~rate:payload_rate
     (payload : [ `Poisson | `Cbr ] :> Netsim.Train.law);
   t.arrival_last <- true
+
+let configure ?(payload = `Poisson) ?adaptive t =
+  setup ~payload ~adaptive ~faults:None t
+
+let configure_faulty t ~faults =
+  setup ~payload:`Poisson ~adaptive:None ~faults:(Some faults) t
 
 let note_pend t =
   let pend = Netsim.Fring.length t.pend_t in
@@ -155,9 +279,9 @@ let on_fire t ~now =
   t.fires <- t.fires + 1;
   Netsim.Fvec.push t.occ (float_of_int (Netsim.Fring.length t.queue));
   let arrivals_in_window =
-    match t.adaptive with
-    | Some _ -> 0
-    | None ->
+    match t.law with
+    | Adaptive _ -> 0
+    | Fixed | Drifting _ ->
         prune t ~start:(now -. Jitter.irq_window);
         Netsim.Fring.length t.window
   in
@@ -193,15 +317,21 @@ let on_fire t ~now =
   Netsim.Fring.push t.pend_tag tag;
   note_pend t;
   (* Sim.every: the fire body runs before the next interval is drawn. *)
-  match t.adaptive with
-  | None -> Float.Array.set t.regs 0 (now +. Timer.draw t.timer t.rng_gateway)
-  | Some a -> adapt t a ~now
+  match t.law with
+  | Fixed -> Float.Array.set t.regs 0 (now +. Timer.draw t.timer t.rng_gateway)
+  | Drifting c -> Float.Array.set t.regs 0 (now +. drifting t c ~now)
+  | Adaptive a -> adapt t a ~now
 
-let advance t ~until =
-  t.events <- 0;
-  Netsim.Fvec.clear t.occ;
-  Netsim.Fvec.clear t.out_t;
-  Netsim.Fvec.clear t.out_tag;
+(* Emission event: the packet leaves for the first hop. *)
+let[@inline] emit_pending t te =
+  ignore (Netsim.Fring.pop t.pend_t : float);
+  let tag = Netsim.Fring.pop t.pend_tag in
+  t.events <- t.events + 1;
+  Netsim.Fvec.push t.out_t te;
+  Netsim.Fvec.push t.out_tag tag
+
+(* The gateway up: arrivals, fires and emissions up to [until]. *)
+let run t ~until =
   let continue = ref true in
   while !continue do
     let ta = Netsim.Train.head t.arrivals in
@@ -212,14 +342,7 @@ let advance t ~until =
     in
     let m = Float.min (Float.min ta tf) te in
     if m > until then continue := false
-    else if te = m then begin
-      (* emission event: the packet leaves for the first hop *)
-      ignore (Netsim.Fring.pop t.pend_t : float);
-      let tag = Netsim.Fring.pop t.pend_tag in
-      t.events <- t.events + 1;
-      Netsim.Fvec.push t.out_t te;
-      Netsim.Fvec.push t.out_tag tag
-    end
+    else if te = m then emit_pending t te
     else if ta = m && (tf > m || not t.arrival_last) then begin
       (* payload arrival event: source emit + Gateway.input *)
       t.events <- t.events + 1;
@@ -236,6 +359,99 @@ let advance t ~until =
     end
   done
 
+(* The gateway down: the pending emissions still leave; arrivals are
+   counted and lost. *)
+let run_down t ~until =
+  let continue = ref true in
+  while !continue do
+    let ta = Netsim.Train.head t.arrivals in
+    let te =
+      if Netsim.Fring.is_empty t.pend_t then infinity
+      else Netsim.Fring.peek t.pend_t
+    in
+    if Float.min ta te > until then continue := false
+    else if te <= ta then emit_pending t te
+    else begin
+      t.events <- t.events + 1;
+      t.generated <- t.generated + 1;
+      t.payload_lost <- t.payload_lost + 1;
+      if Obs.Trace.enabled () then
+        Netsim.Tracebuf.push t.trace ~key:ta ~code:Netsim.Tracebuf.drop_gw_down
+          ~x:0.0 ~y:0.0;
+      Netsim.Train.next t.arrivals
+    end
+  done
+
+let crash t f ~now =
+  t.events <- t.events + 1;
+  t.crashes <- t.crashes + 1;
+  let queued = Netsim.Fring.length t.queue in
+  t.payload_lost <- t.payload_lost + queued;
+  if Obs.Trace.enabled () then
+    Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.gateway_crash
+      ~x:(float_of_int queued) ~y:0.0;
+  Netsim.Fring.clear t.queue;
+  Netsim.Fring.clear t.window;
+  (* The stopped timer's next fire stays queued in an event loop, which
+     pops and counts it: [advance] counts it once its time has come (an
+     earlier one still queued, only with a restart shorter than a timer
+     period, is counted now). *)
+  let queued_fire = Float.Array.get t.regs 4 in
+  if queued_fire < infinity then t.events <- t.events + 1;
+  Float.Array.set t.regs 4 (Float.Array.get t.regs 0);
+  Float.Array.set t.regs 0 infinity;
+  Float.Array.set t.regs 2 infinity;
+  Float.Array.set t.regs 5 now;
+  Float.Array.set t.regs 3 (now +. f.restart_delay)
+
+let restart t f ~now =
+  t.events <- t.events + 1;
+  Float.Array.set t.regs 6
+    (Float.Array.get t.regs 6 +. (now -. Float.Array.get t.regs 5));
+  if Obs.Trace.enabled () then
+    Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.gateway_restart
+      ~x:0.0 ~y:0.0;
+  Float.Array.set t.regs 3 infinity;
+  Float.Array.set t.regs 1 now;
+  (* The new timer is armed after the payload source's pending arrival. *)
+  t.arrival_last <- false;
+  first_fire t ~now;
+  arm_crash t f ~now
+
+(* Events at a crash or restart instant go before it. *)
+let rec run_faulty t f ~until =
+  let restart_at = Float.Array.get t.regs 3 in
+  if restart_at < infinity then
+    if restart_at <= until then begin
+      run_down t ~until:restart_at;
+      restart t f ~now:restart_at;
+      run_faulty t f ~until
+    end
+    else run_down t ~until
+  else
+    let crash_at = Float.Array.get t.regs 2 in
+    if crash_at <= until then begin
+      run t ~until:crash_at;
+      crash t f ~now:crash_at;
+      run_faulty t f ~until
+    end
+    else run t ~until
+
+let advance t ~until =
+  t.events <- 0;
+  Netsim.Fvec.clear t.occ;
+  Netsim.Fvec.clear t.out_t;
+  Netsim.Fvec.clear t.out_tag;
+  match t.faults with
+  | None -> run t ~until
+  | Some f ->
+      run_faulty t f ~until;
+      let queued_fire = Float.Array.get t.regs 4 in
+      if queued_fire <= until then begin
+        t.events <- t.events + 1;
+        Float.Array.set t.regs 4 infinity
+      end
+
 let out_times t = t.out_t
 let out_tags t = t.out_tag
 let trace t = t.trace
@@ -246,6 +462,15 @@ let payload_sent t = t.payload_sent
 let dummy_sent t = t.dummy_sent
 let generated t = t.generated
 let max_pending t = t.max_pend
+let missed_fires t = t.missed_fires
+let crashes t = t.crashes
+let payload_lost t = t.payload_lost
+
+let downtime t ~now =
+  Float.Array.get t.regs 6
+  +.
+  let restart_at = Float.Array.get t.regs 3 in
+  if restart_at < infinity then now -. Float.Array.get t.regs 5 else 0.0
 
 (* Same expression as [Gateway.overhead]. *)
 let overhead t =

@@ -18,7 +18,12 @@
     loop's queue sequence orders them: the train that re-armed earlier
     goes first, and at creation the fire is armed before the arrival.
     Such ties need CBR payload on the CIT timer's lattice; under Poisson
-    payload they have probability zero. *)
+    payload they have probability zero.
+
+    The kernel also runs the gateway faults of the degradation sweep
+    ({!faults}): a drifting clock that misses fires, and crashes.  Their
+    reference is the event-loop crash-restart wrapper and clock
+    generator kept in test/evloop/. *)
 
 type t
 
@@ -38,6 +43,51 @@ type adaptive = {
     PIAT then tracks the payload rate: the leak this variant exists to
     measure.  The caller validates the band; {!configure} rejects a
     window that is not positive. *)
+
+type clock = {
+  drift : float;
+      (** Fractional clock-rate error: intervals are scaled by
+          [1. +. drift]. *)
+  miss_prob : float;  (** Probability, per scheduled fire, that it is masked. *)
+  coalesce : bool;
+      (** [true]: masked fires are absorbed, and the wire sees one
+          interval of (k+1) periods.  [false]: after the overrun, the k
+          masked fires are replayed {!catchup_spacing} apart. *)
+  max_consecutive_misses : int;  (** Cap on k. *)
+}
+(** A faulty gateway clock, a variant of the timer law.  The next fire
+    comes one timer draw × (1 + drift) after a fire, drawn on the clock's
+    own stream; then, while fewer than [max_consecutive_misses] fires
+    have been masked, a draw below [miss_prob] masks the fire and adds
+    one more drifted interval.  A clock with no drift and no misses
+    ([{drift = 0.; miss_prob = 0.; coalesce = true;
+    max_consecutive_misses = 1}]) is the plain timer law on the gateway
+    stream.  The count of fires still to replay survives a crash.  The
+    caller validates the spec. *)
+
+val catchup_spacing : float
+(** Spacing of replayed catch-up fires (1 µs): back to back relative to
+    a millisecond-scale period, but strictly positive. *)
+
+type faults = {
+  clock : clock;
+  rng_clock : Prng.Rng.t;  (** the clock's draws *)
+  mtbf : float;  (** mean time between crashes; [infinity]: never *)
+  restart_delay : float;
+  rng_failure : Prng.Rng.t;  (** the crash instants' draws *)
+}
+(** Gateway faults.  Crash instants are exponential with mean [mtbf],
+    the first drawn at creation (time 0) and each later one at the
+    restart before it.  A crash is a silence window of [restart_delay]:
+    - at the crash the queued payload is lost, fires stop and the IRQ
+      window is cleared; emissions already pending still leave;
+    - payload arriving while the gateway is down is counted and lost;
+    - at the restart the gateway starts afresh: its last emission is
+      reset to the restart instant and its first fire comes one interval
+      after it.
+    Events at a crash or restart instant go before it.  With
+    [mtbf = infinity] and an ideal clock the kernel draws and computes
+    exactly what the fault-free kernel does. *)
 
 val create : unit -> t
 (** Allocate reusable scratch storage (rings, stream buffers, trace
@@ -64,6 +114,21 @@ val configure :
     is ignored: fires follow the adaptive controller, and each jitter
     draw sees no arrivals in the IRQ blocking window
     ([arrivals_in_window = 0]). *)
+
+val configure_faulty :
+  t ->
+  faults:faults ->
+  rng_payload:Prng.Rng.t ->
+  rng_gateway:Prng.Rng.t ->
+  timer:Timer.law ->
+  jitter:Jitter.t ->
+  packet_size:int ->
+  payload_rate:float ->
+  unit
+(** {!configure} for a gateway with [faults], under Poisson payload: the
+    first interval is drawn on the clock's stream unless the clock is
+    ideal, and the first crash instant is drawn after it.  Raises
+    [Invalid_argument] unless [mtbf > 0] and [restart_delay > 0]. *)
 
 val advance : t -> until:float -> unit
 (** Process every arrival, fire and emission event with timestamp <=
@@ -94,7 +159,19 @@ val payload_sent : t -> int
 val dummy_sent : t -> int
 
 val generated : t -> int
-(** Payload arrival events processed — [Traffic_gen.generated]. *)
+(** Payload arrival events processed — [Traffic_gen.generated], lost
+    arrivals included. *)
+
+val missed_fires : t -> int
+(** Fires the clock masked. *)
+
+val crashes : t -> int
+
+val payload_lost : t -> int
+(** Payload queued at crash instants plus payload arriving while down. *)
+
+val downtime : t -> now:float -> float
+(** Seconds spent down, up to [now] (the run's current instant). *)
 
 val max_pending : t -> int
 (** High-water mark of the pending-emission ring (run scope), an input

@@ -245,22 +245,23 @@ let run_size_padding ?(seed = 52_004) fmt =
     if Prng.Sampler.bernoulli rng ~p:0.5 then 1460
     else 200 + Prng.Rng.int rng ~bound:100
   in
+  (* One class's tap record: Poisson arrivals at 100 pps from time 0 up
+     to the horizon, each gap drawn before its packet's size, every size
+     raised to the 1500-byte MTU when padded. *)
   let capture ~size_of ~padded ~seed =
-    let sim = Desim.Sim.create () in
-    let rng = Prng.Rng.create ~seed in
-    let tap = Netsim.Tap.create sim ~dest:(fun _ -> ()) () in
-    let entry =
-      if padded then
-        Padding.Size_padding.pad_port ~target:1500 ~dest:(Netsim.Tap.port tap)
-      else Netsim.Tap.port tap
+    let rng = Prng.Rng.split (Prng.Rng.create ~seed) in
+    let horizon = float_of_int packets /. 100.0 *. 1.1 in
+    let rec arrivals t acc =
+      let t = t +. Prng.Sampler.exponential rng ~rate:100.0 in
+      if t > horizon then Array.of_list (List.rev acc)
+      else
+        let size = size_of rng in
+        arrivals t ((if padded then 1500 else size) :: acc)
     in
-    let src =
-      Netsim.Traffic_gen.poisson_sized sim ~rng:(Prng.Rng.split rng)
-        ~rate_pps:100.0 ~size_of ~kind:Netsim.Packet.Payload ~dest:entry ()
-    in
-    Desim.Sim.run_until sim ~time:(float_of_int packets /. 100.0 *. 1.1);
-    Netsim.Traffic_gen.stop src;
-    Netsim.Tap.sizes tap
+    let sizes = arrivals 0.0 [] in
+    let n = Array.length sizes in
+    Netsim.Tap.note_batch ~observed:n ~payload:n ~dummy:0;
+    sizes
   in
   let rows =
     List.concat_map

@@ -30,9 +30,9 @@ val run_size_padding :
     classes with different packet-size mixes but identical timing are
     told apart by per-window mean size and size entropy at ≈100% — until
     packets are padded to a constant 1500 B, which drops both to the 0.5
-    floor.  Returns (configuration, feature, detection rate).  Raises
-    [Desim.Sim.Event_budget_exceeded] if a class simulation exhausts its
-    event budget. *)
+    floor.  Each class is a Poisson arrival sequence at 100 pps with
+    per-packet sizes, drawn directly (no simulator runs).  Returns
+    (configuration, feature, detection rate). *)
 
 val run_roc :
   ?scale:float -> ?seed:int -> Format.formatter -> (int * string * float * float) list

@@ -8,6 +8,8 @@ type t = {
   kernel_tap_trace : Netsim.Tracebuf.t;
   source : Netsim.Source.t;
   batch : Padding.Batch.t;
+  lossy : Faults.Lossy.t;
+  outage : Faults.Outage.t;
 }
 
 let fresh () =
@@ -21,14 +23,14 @@ let fresh () =
     kernel_tap_trace = Netsim.Tracebuf.create ();
     source = Netsim.Source.create ();
     batch = Padding.Batch.create ();
+    lossy = Faults.Lossy.create ();
+    outage = Faults.Outage.create ();
   }
 
 (* One arena per domain: Exec.Pool workers never share a simulator, and a
    single-domain sweep reuses the same arena run after run.  The key's
    initializer runs lazily on first use in each domain. *)
 let key = Domain.DLS.new_key fresh
-
-let tap_buffers t = (t.tap_times, t.tap_sizes)
 
 (* Grow (never shrink) the per-hop kernel scratch array, keeping the
    already-grown stages so their ring/buffer capacity survives across

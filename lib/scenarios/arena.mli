@@ -26,6 +26,8 @@ type t = {
       (** deferred [tap.observe] records for the kernel's inline tap *)
   source : Netsim.Source.t;  (** payload source stage of unpadded and mix runs *)
   batch : Padding.Batch.t;  (** threshold-mix stage of {!System.run_mix} *)
+  lossy : Faults.Lossy.t;  (** wire stages of {!Degradation.run_faulty} *)
+  outage : Faults.Outage.t;
 }
 
 val get : fresh:bool -> t
@@ -33,10 +35,6 @@ val get : fresh:bool -> t
     to drive a run.  [get ~fresh:true] builds a brand-new arena instead
     (used by determinism tests to compare the two paths, and by callers
     that need two concurrent simulations on one domain). *)
-
-val tap_buffers : t -> Netsim.Fvec.t * Netsim.Fvec.t
-(** The [(times, sizes)] recording pair, for a {!Netsim.Tap}'s
-    [buffers]. *)
 
 val kernel_hops : t -> int -> Netsim.Linkstage.t array
 (** [kernel_hops t n] returns the per-hop kernel scratch array grown to

@@ -92,87 +92,125 @@ let validate cfg =
   if cfg.packet_size <= 0 then invalid_arg "Degradation: packet_size <= 0";
   if cfg.warmup_piats < 0 then invalid_arg "Degradation: warmup_piats < 0"
 
-(* Advance until the tap holds [target] timestamps.  The chunk estimate
-   uses the *surviving* packet rate so heavy-fault runs do not starve the
+(* The gateway kernel with its faults: the kernel stage, plus the
+   [faults.clock.*] and [faults.crash.*] counters and the crash-restart
+   record in the event-queue-depth surrogate. *)
+let m_missed = Obs.Metrics.counter "faults.clock.missed_fires"
+let m_crashes = Obs.Metrics.counter "faults.crash.crashes"
+let m_payload_lost = Obs.Metrics.counter "faults.crash.payload_lost"
+
+let gateway_stage k =
+  let s = System.kernel_stage k in
+  {
+    s with
+    max_pending = (fun () -> 1 + s.max_pending ());
+    flush =
+      (fun ~with_utilization ~now ->
+        s.flush ~with_utilization ~now;
+        Obs.Metrics.add m_missed (Padding.Kernel.missed_fires k);
+        Obs.Metrics.add m_crashes (Padding.Kernel.crashes k);
+        Obs.Metrics.add m_payload_lost (Padding.Kernel.payload_lost k));
+  }
+
+let lossy_stage l =
+  {
+    System.advance = (fun until -> Faults.Lossy.advance l ~until);
+    out_times = Faults.Lossy.out_times l;
+    out_tags = Faults.Lossy.out_tags l;
+    trace = Some (Faults.Lossy.trace l);
+    chunk_events = (fun () -> Faults.Lossy.chunk_events l);
+    max_pending = (fun () -> Faults.Lossy.max_pending l);
+    flush = (fun ~with_utilization:_ ~now:_ -> Faults.Lossy.flush l);
+  }
+
+let outage_stage o =
+  {
+    System.advance = (fun until -> Faults.Outage.advance o ~until);
+    out_times = Faults.Outage.out_times o;
+    out_tags = Faults.Outage.out_tags o;
+    trace = Some (Faults.Outage.trace o);
+    chunk_events = (fun () -> Faults.Outage.chunk_events o);
+    (* The flapping process's next transition. *)
+    max_pending = (fun () -> 1);
+    flush = (fun ~with_utilization:_ ~now:_ -> Faults.Outage.flush o);
+  }
+
+(* Source -> faulty gateway -> lossy wire -> outage -> tap -> receiver on
+   the staged pipeline.  The six streams are split off the seed in the
+   order payload, gateway, wire (the pipeline's third, cross, split: a
+   faulty run has no hops), clock, failure, flap.  The chunks are sized
+   by the surviving packet rate, so heavy-fault runs do not starve the
    chunking loop; a run that truly stops making progress raises
    [Starvation.Tap_starved] with the metrics snapshot. *)
-let run_until_tap_count sim ~tap ~target ~expected_rate =
-  Starvation.run_until_tap_count ~scenario:"degradation.run" ~slack:1.2
-    ~min_chunk:0.2 sim ~tap ~target ~expected_rate
-
 let run_faulty cfg ~piats =
   validate cfg;
-  if piats < 1 then invalid_arg "Degradation.run_faulty: piats < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "degradation.run seed=%d pps=%g" cfg.seed
-       cfg.payload_rate_pps)
-  @@ fun () ->
   let p = cfg.profile in
-  let sim = Desim.Sim.create () in
-  System.arm_event_budget sim;
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  let rng_wire = Prng.Rng.split root in
-  let rng_clock = Prng.Rng.split root in
-  let rng_failure = Prng.Rng.split root in
-  let rng_flap = Prng.Rng.split root in
-  let receiver = Padding.Receiver.create sim () in
-  let tap = Netsim.Tap.create sim ~dest:(Padding.Receiver.port receiver) () in
-  let outage = Faults.Outage.create sim ~dest:(Netsim.Tap.port tap) () in
-  let lossy =
-    Faults.Lossy.create sim ~rng:rng_wire ~loss:p.loss ~dup_prob:p.dup_prob
-      ~reorder_prob:p.reorder_prob ~reorder_delay:p.reorder_delay
-      ~dest:(Faults.Outage.port outage) ()
-  in
-  let interval =
-    if p.clock = Faults.Clock.ideal then None
-    else Some (Faults.Clock.intervals ~sim p.clock ~law:cfg.timer ~rng:rng_clock)
-  in
-  let crash =
-    Faults.Crash.create sim ~rng:rng_gateway ~failure_rng:rng_failure
-      ~timer:cfg.timer ~jitter:cfg.jitter ~packet_size:cfg.packet_size
-      ?interval ~mtbf:p.mtbf ~restart_delay:p.restart_delay
-      ~dest:(Faults.Lossy.port lossy) ()
-  in
-  (match p.flap with
-  | Some (mean_up, mean_down) ->
-      Faults.Outage.flap outage ~rng:rng_flap ~mean_up ~mean_down
-  | None -> ());
-  let source =
-    Netsim.Traffic_gen.poisson sim ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~kind:Netsim.Packet.Payload ~dest:(Faults.Crash.input crash) ()
-  in
-  let target = System.tap_target ~warmup:cfg.warmup_piats ~count:piats in
   let fire_rate = 1.0 /. Padding.Timer.mean cfg.timer in
   let survive =
     (1.0 -. Faults.Lossy.expected_loss_rate p.loss)
     *. (1.0 -. p.clock.Faults.Clock.miss_prob)
   in
-  let expected_rate = Float.max (fire_rate *. survive *. 0.5) 1.0 in
-  run_until_tap_count sim ~tap ~target ~expected_rate;
-  Netsim.Traffic_gen.stop source;
-  Faults.Crash.stop crash;
-  Faults.Outage.stop_flapping outage;
-  Desim.Sim.publish_metrics sim;
-  let piats_arr, _ =
-    System.observed ~warmup:cfg.warmup_piats ~count:piats
-      (Netsim.Tap.timestamps tap)
+  let stages = ref None in
+  let r =
+    System.pipeline ~scenario:"degradation.run" ~fresh_arena:false ~slack:1.2
+      ~min_chunk:0.2
+      {
+        System.default_config with
+        seed = cfg.seed;
+        timer = cfg.timer;
+        jitter = cfg.jitter;
+        payload_rate_pps = cfg.payload_rate_pps;
+        packet_size = cfg.packet_size;
+        warmup_piats = cfg.warmup_piats;
+      }
+      ~count:piats ~count_error:"Degradation.run_faulty: piats < 1"
+      ~expected_rate:(Float.max (fire_rate *. survive *. 0.5) 1.0)
+      (fun arena streams ->
+        let rng_wire = streams.System.cross in
+        let rng_clock = Prng.Rng.split streams.root in
+        let rng_failure = Prng.Rng.split streams.root in
+        let rng_flap = Prng.Rng.split streams.root in
+        let k = arena.Arena.kernel_gw
+        and l = arena.Arena.lossy
+        and o = arena.Arena.outage in
+        Faults.Lossy.configure l ~rng:rng_wire ~loss:p.loss ~dup_prob:p.dup_prob
+          ~reorder_prob:p.reorder_prob ~reorder_delay:p.reorder_delay
+          ~in_t:(Padding.Kernel.out_times k) ~in_tag:(Padding.Kernel.out_tags k);
+        Padding.Kernel.configure_faulty k
+          ~faults:
+            {
+              Padding.Kernel.clock = p.clock;
+              rng_clock;
+              mtbf = p.mtbf;
+              restart_delay = p.restart_delay;
+              rng_failure;
+            }
+          ~rng_payload:streams.payload ~rng_gateway:streams.gateway
+          ~timer:cfg.timer ~jitter:cfg.jitter ~packet_size:cfg.packet_size
+          ~payload_rate:cfg.payload_rate_pps;
+        Faults.Outage.configure o ~rng:rng_flap ~flap:p.flap
+          ~in_t:(Faults.Lossy.out_times l) ~in_tag:(Faults.Lossy.out_tags l);
+        stages := Some (k, l, o);
+        {
+          System.stages = [ gateway_stage k; lossy_stage l; outage_stage o ];
+          overhead = (fun () -> Padding.Kernel.overhead k);
+          offered = (fun () -> Padding.Kernel.generated k);
+        })
   in
+  let k, l, o = Option.get !stages in
   {
-    piats = piats_arr;
-    overhead = Faults.Crash.overhead crash;
-    payload_offered = Netsim.Traffic_gen.generated source;
-    payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = Faults.Crash.payload_dropped crash;
-    lost_wire = Faults.Lossy.lost lossy;
-    lost_outage = Faults.Outage.dropped outage;
-    lost_crash = Faults.Crash.payload_lost crash;
-    crashes = Faults.Crash.crashes crash;
-    gw_downtime = Faults.Crash.downtime crash;
-    mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
-    sim_time = Desim.Sim.now sim;
+    piats = r.System.piats;
+    overhead = r.overhead;
+    payload_offered = r.payload_offered;
+    payload_delivered = r.payload_delivered;
+    payload_dropped_gw = r.payload_dropped_gw;
+    lost_wire = Faults.Lossy.lost l;
+    lost_outage = Faults.Outage.dropped o;
+    lost_crash = Padding.Kernel.payload_lost k;
+    crashes = Padding.Kernel.crashes k;
+    gw_downtime = Padding.Kernel.downtime k ~now:r.sim_time;
+    mean_payload_latency = r.mean_payload_latency;
+    sim_time = r.sim_time;
   }
 
 type point = {

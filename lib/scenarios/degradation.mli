@@ -65,11 +65,18 @@ type run_result = {
 }
 
 val run_faulty : config -> piats:int -> run_result
-(** One faulty end-to-end run: source → crash-wrapped gateway (faulty
-    clock) → lossy wire → outage → tap → receiver.  Deterministic in
-    [config.seed]; [piats >= 1].  Raises [Starvation.Tap_starved] /
-    [Desim.Sim.Event_budget_exceeded] as [System.run] does (heavy
-    outages can starve the tap). *)
+(** One faulty end-to-end run on {!System.pipeline}: source → gateway
+    kernel with its faulty clock and crashes ({!Padding.Kernel.faults}) →
+    lossy wire ({!Faults.Lossy}) → outage ({!Faults.Outage}) → tap →
+    receiver, no hops.  The payload, gateway, wire, clock, failure and
+    flap streams are split off [config.seed] in that order; under a
+    fault-free profile the run makes {!System.run}'s draws and returns
+    its PIATs bit for bit (same seed, timer, jitter, rate and packet
+    size), though it stops elsewhere: its chunks are sized by the
+    surviving packet rate.  [piats >= 1].
+    Raises [Invalid_argument] on a bad profile, and
+    [Starvation.Tap_starved] or the event-budget exception as
+    {!System.run} does (heavy outages can starve the tap). *)
 
 type point = {
   intensity : float;

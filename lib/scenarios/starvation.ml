@@ -16,11 +16,11 @@ exception
 let stall_packets = 50.0
 let max_chunks = 1_000_000
 
-(* One chunk-loop implementation serves both the event-loop drivers and
-   the fused kernels.  The chunk boundaries are data-dependent (each [dt]
-   depends on the current tap count), so sharing the arithmetic is what
-   guarantees both paths starve at the identical simulated time with the
-   identical exception payload. *)
+(* One chunk-loop implementation serves the staged pipeline and its
+   event-loop reference.  The chunk boundaries are data-dependent (each
+   [dt] depends on the current tap count), so sharing the arithmetic is
+   what guarantees both paths starve at the identical simulated time with
+   the identical exception payload. *)
 let drive ~scenario ?(slack = 1.1) ?(min_chunk = 0.1) ~now ~count ~advance
     ~on_starve ~target ~expected_rate () =
   let starve observed =
@@ -57,15 +57,6 @@ let drive ~scenario ?(slack = 1.1) ?(min_chunk = 0.1) ~now ~count ~advance
       end
   in
   go ~chunks:0 ~last_count:(-1) ~last_progress_t:(now ())
-
-let run_until_tap_count ~scenario ?slack ?min_chunk sim ~tap ~target
-    ~expected_rate =
-  drive ~scenario ?slack ?min_chunk
-    ~now:(fun () -> Desim.Sim.now sim)
-    ~count:(fun () -> Netsim.Tap.count tap)
-    ~advance:(fun time -> Desim.Sim.run_until sim ~time)
-    ~on_starve:(fun () -> Desim.Sim.publish_metrics sim)
-    ~target ~expected_rate ()
 
 let pp_starved ppf = function
   | Tap_starved { scenario; target; observed; sim_time; metrics } ->

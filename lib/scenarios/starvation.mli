@@ -31,31 +31,19 @@ val drive :
   expected_rate:float ->
   unit ->
   unit
-(** The chunk loop behind {!run_until_tap_count}, abstracted over how
-    time is read ([now]), how progress is measured ([count]), and how the
-    simulation advances to a chunk boundary ([advance]).  The fused
-    scenario kernels drive their batch loops through this so the
+(** The chunk loop: advance in chunks sized [missing / expected_rate *
+    slack] (default 1.1; at least [min_chunk] seconds, default 0.1) until
+    [count ()] reaches [target], abstracted over how time is read
+    ([now]), how progress is measured ([count]), and how the simulation
+    advances to a chunk boundary ([advance]).  The staged pipeline and
+    its event-loop reference both drive through this, so the
     data-dependent chunk boundaries — and therefore the starvation
-    decision and its simulated timestamp — are computed by the very same
-    arithmetic as the event-loop path.  [on_starve] runs (e.g. to flush
-    pending metric tallies) just before {!Tap_starved} is raised, so the
-    snapshot in the exception reflects the flushed state. *)
-
-val run_until_tap_count :
-  scenario:string ->
-  ?slack:float ->
-  ?min_chunk:float ->
-  Desim.Sim.t ->
-  tap:Netsim.Tap.t ->
-  target:int ->
-  expected_rate:float ->
-  unit
-(** Advance [sim] in chunks sized [missing / expected_rate * slack]
-    (at least [min_chunk] seconds) until the tap holds [target]
-    timestamps.  Raises {!Tap_starved} when the chunk budget runs out or
-    the tap makes no progress for many consecutive chunks; raises
-    [Desim.Sim.Event_budget_exceeded] when a supervisor-armed event
-    budget trips first. *)
+    decision and its simulated timestamp — come from the very same
+    arithmetic.  Raises {!Tap_starved} when the chunk budget runs out or
+    the count makes no progress for a stall window; [on_starve] runs
+    (e.g. to flush pending metric tallies) just before, so the snapshot
+    in the exception reflects the flushed state.  Whatever [advance]
+    raises (an armed event budget tripping) passes through. *)
 
 val pp_starved : Format.formatter -> exn -> bool
 (** Render a {!Tap_starved} exception as an operator-facing report

@@ -195,10 +195,11 @@ type origin = {
 }
 
 (* K-way merge of the per-stage deferred trace buffers by insertion-time
-   key, replayed through the live trace sink.  Keys are monotone within
-   a buffer; [bufs] is in pipeline order, and an equal key goes to the
-   lowest buffer index, so same-instant records from different stages
-   come out in pipeline order. *)
+   key, then packet ordinal, replayed through the live trace sink.  Keys
+   are monotone within a buffer; [bufs] is in pipeline order, and an
+   equal (key, ordinal) goes to the lowest buffer index, so same-instant
+   records of one packet from different stages come out in pipeline
+   order. *)
 let merge_traces bufs =
   let k = Array.length bufs in
   let idx = Array.make k 0 in
@@ -207,12 +208,18 @@ let merge_traces bufs =
   while !remaining > 0 do
     let best = ref (-1) in
     let best_key = ref infinity in
+    let best_nth = ref 0 in
     for j = 0 to k - 1 do
       if idx.(j) < Netsim.Tracebuf.length bufs.(j) then begin
         let key = Netsim.Tracebuf.key bufs.(j) idx.(j) in
-        if !best < 0 || key < !best_key then begin
+        let nth = Netsim.Tracebuf.nth bufs.(j) idx.(j) in
+        if
+          !best < 0 || key < !best_key
+          || (key = !best_key && nth < !best_nth)
+        then begin
           best := j;
-          best_key := key
+          best_key := key;
+          best_nth := nth
         end
       end
     done;
@@ -221,21 +228,28 @@ let merge_traces bufs =
     remaining := !remaining - 1
   done
 
+type streams = {
+  root : Prng.Rng.t;
+  payload : Prng.Rng.t;
+  gateway : Prng.Rng.t;
+  cross : Prng.Rng.t;
+}
+
 (* The run's payload, gateway and cross streams: three splits off the
    root, in that order, whatever the front stage uses. *)
 let streams cfg =
   let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  (rng_payload, rng_gateway, Prng.Rng.split root)
+  let payload = Prng.Rng.split root in
+  let gateway = Prng.Rng.split root in
+  { root; payload; gateway; cross = Prng.Rng.split root }
 
 (* One run: validation, a trace run named after the [scenario], this
    domain's arena with the supervising sweep's event budget armed, the
    front stages [make_origin] configures, and the chunk loop until the
    tap holds [count] post-warm-up gaps, or [Starvation.Tap_starved]
    when padded traffic stops reaching it. *)
-let pipeline ~scenario ~fresh_arena cfg ~count ~count_error ~expected_rate
-    make_origin =
+let pipeline ~scenario ~fresh_arena ~slack ~min_chunk cfg ~count ~count_error
+    ~expected_rate make_origin =
   validate cfg;
   if count < 1 then invalid_arg count_error;
   Obs.Trace.with_run
@@ -246,9 +260,9 @@ let pipeline ~scenario ~fresh_arena cfg ~count ~count_error ~expected_rate
   arm_event_budget sim;
   let { hops; tap_position; packet_size; _ } = cfg in
   Netsim.Topology.validate ~hops ~tap_position;
-  let rng_payload, rng_gateway, rng_cross = streams cfg in
-  let cross_rngs = Netsim.Topology.cross_streams ~rng:rng_cross hops in
-  let origin = make_origin arena ~rng_payload ~rng_gateway in
+  let streams = streams cfg in
+  let cross_rngs = Netsim.Topology.cross_streams ~rng:streams.cross hops in
+  let origin = make_origin arena streams in
   let links = Arena.kernel_hops arena (Array.length hops) in
   (* Each hop consumes the chunk output of the stage before it. *)
   let upstream = ref (List.nth origin.stages (List.length origin.stages - 1)) in
@@ -281,17 +295,23 @@ let pipeline ~scenario ~fresh_arena cfg ~count ~count_error ~expected_rate
   let payload_received = ref 0 in
   let latency_acc = Stats.Descriptive.Acc.create () in
   let size_f = float_of_int packet_size in
+  (* The last observation's instant and its ordinal there: a duplicate
+     reaches the tap at its original's instant. *)
+  let last_seen = ref neg_infinity and nth = ref 0 in
   let absorb_tap s =
     for i = 0 to Netsim.Fvec.length s.out_times - 1 do
       let t = Netsim.Fvec.unsafe_get s.out_times i in
       let dummy = Float.is_nan (Netsim.Fvec.unsafe_get s.out_tags i) in
       if dummy then incr tap_dummy else incr tap_payload;
-      if Obs.Trace.enabled () then
-        Netsim.Tracebuf.push arena.Arena.kernel_tap_trace ~key:t
+      if Obs.Trace.enabled () then begin
+        nth := if t = !last_seen then !nth + 1 else 0;
+        last_seen := t;
+        Netsim.Tracebuf.push_nth arena.Arena.kernel_tap_trace ~key:t ~nth:!nth
           ~code:
             (if dummy then Netsim.Tracebuf.observe_dummy
              else Netsim.Tracebuf.observe_payload)
-          ~x:size_f ~y:0.0;
+          ~x:size_f ~y:0.0
+      end;
       Netsim.Fvec.push arena.Arena.tap_times t;
       Netsim.Fvec.push arena.Arena.tap_sizes size_f
     done
@@ -355,7 +375,7 @@ let pipeline ~scenario ~fresh_arena cfg ~count ~count_error ~expected_rate
       flush ~with_utilization:false ~publish:false ~now:(Desim.Sim.now sim);
       raise e
   in
-  Starvation.drive ~scenario ~slack:1.1 ~min_chunk:0.1
+  Starvation.drive ~scenario ~slack ~min_chunk
     ~now:(fun () -> Desim.Sim.now sim)
     ~count:(fun () -> Netsim.Fvec.length arena.Arena.tap_times)
     ~advance
@@ -388,11 +408,12 @@ let payload_law cfg =
   match cfg.payload_model with Poisson_payload -> `Poisson | Cbr_payload -> `Cbr
 
 (* A timer gateway, fixed ([adaptive = None]) or adaptive. *)
-let gateway ?adaptive cfg arena ~rng_payload ~rng_gateway =
+let gateway ?adaptive cfg arena streams =
   let k = arena.Arena.kernel_gw in
-  Padding.Kernel.configure k ?adaptive ~rng_payload ~rng_gateway
-    ~timer:cfg.timer ~jitter:cfg.jitter ~packet_size:cfg.packet_size
-    ~payload_rate:cfg.payload_rate_pps ~payload:(payload_law cfg);
+  Padding.Kernel.configure k ?adaptive ~rng_payload:streams.payload
+    ~rng_gateway:streams.gateway ~timer:cfg.timer ~jitter:cfg.jitter
+    ~packet_size:cfg.packet_size ~payload_rate:cfg.payload_rate_pps
+    ~payload:(payload_law cfg);
   {
     stages = [ kernel_stage k ];
     overhead = (fun () -> Padding.Kernel.overhead k);
@@ -400,14 +421,18 @@ let gateway ?adaptive cfg arena ~rng_payload ~rng_gateway =
   }
 
 (* The payload source alone. *)
-let payload_source cfg arena ~rng_payload =
+let payload_source cfg arena streams =
   let src = arena.Arena.source in
-  Netsim.Source.configure src ~rng:rng_payload ~rate:cfg.payload_rate_pps
+  Netsim.Source.configure src ~rng:streams.payload ~rate:cfg.payload_rate_pps
     (payload_law cfg);
   src
 
+(* The drive constants of the System entry points. *)
+let slack = 1.1
+let min_chunk = 0.1
+
 let run ?(fresh_arena = false) cfg ~piats =
-  pipeline ~scenario:"system.run" ~fresh_arena cfg ~count:piats
+  pipeline ~scenario:"system.run" ~fresh_arena ~slack ~min_chunk cfg ~count:piats
     ~count_error:"System.run: piats < 1"
     ~expected_rate:(1.0 /. Padding.Timer.mean cfg.timer)
     (gateway cfg)
@@ -468,13 +493,13 @@ let run_mix ?(fresh_arena = false) ?(threshold = 8) ?(timeout = 0.5) cfg
   if timeout <= 0.0 then invalid_arg "System.run_mix: timeout <= 0";
   (* Each timeout flush emits [threshold] packets, so the slowest possible
      wire rate is threshold/timeout. *)
-  pipeline ~scenario:"system.mix" ~fresh_arena cfg ~count:piats
-    ~count_error:"System.run_mix: piats < 1"
+  pipeline ~scenario:"system.mix" ~fresh_arena ~slack ~min_chunk cfg
+    ~count:piats ~count_error:"System.run_mix: piats < 1"
     ~expected_rate:(float_of_int threshold /. timeout)
-    (fun arena ~rng_payload ~rng_gateway ->
-      let src = payload_source cfg arena ~rng_payload in
+    (fun arena streams ->
+      let src = payload_source cfg arena streams in
       let b = arena.Arena.batch in
-      Padding.Batch.configure b ~rng:rng_gateway ~threshold ~timeout
+      Padding.Batch.configure b ~rng:streams.gateway ~threshold ~timeout
         ~spacing:1e-3 ~in_t:(Netsim.Source.out_times src)
         ~in_tag:(Netsim.Source.out_tags src);
       {
@@ -488,8 +513,8 @@ let run_adaptive ?(fresh_arena = false) ?(min_period = 0.010)
   if min_period <= 0.0 || max_period < min_period then
     invalid_arg "System.run_adaptive: bad period band";
   (* Worst case the adaptive gateway idles at max_period. *)
-  pipeline ~scenario:"system.adaptive" ~fresh_arena cfg ~count:piats
-    ~count_error:"System.run_adaptive: piats < 1"
+  pipeline ~scenario:"system.adaptive" ~fresh_arena ~slack ~min_chunk cfg
+    ~count:piats ~count_error:"System.run_adaptive: piats < 1"
     ~expected_rate:(1.0 /. max_period)
     (gateway
        ~adaptive:
@@ -497,11 +522,11 @@ let run_adaptive ?(fresh_arena = false) ?(min_period = 0.010)
        cfg)
 
 let run_unpadded ?(fresh_arena = false) cfg ~packets =
-  pipeline ~scenario:"system.unpadded" ~fresh_arena cfg ~count:packets
-    ~count_error:"System.run_unpadded: packets < 1"
+  pipeline ~scenario:"system.unpadded" ~fresh_arena ~slack ~min_chunk cfg
+    ~count:packets ~count_error:"System.run_unpadded: packets < 1"
     ~expected_rate:cfg.payload_rate_pps
-    (fun arena ~rng_payload ~rng_gateway:_ ->
-      let src = payload_source cfg arena ~rng_payload in
+    (fun arena streams ->
+      let src = payload_source cfg arena streams in
       {
         stages = [ source_stage src ];
         overhead = (fun () -> 0.0);

@@ -151,3 +151,74 @@ val run_adaptive :
     Raises [Invalid_argument] unless [0 < min_period <= max_period];
     raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
     as {!run} does. *)
+
+(** {1 The staged pipeline}
+
+    For scenario drivers that put other stages in front of the hop chain
+    ({!Degradation}'s wire faults); the entry points above are its other
+    callers. *)
+
+type stage = {
+  advance : float -> unit;
+      (** run the stage to a chunk boundary, leaving the chunk's output
+          in [out_times]/[out_tags] *)
+  out_times : Netsim.Fvec.t;
+  out_tags : Netsim.Fvec.t;
+      (** the chunk's (time, tag) output: tag = payload creation time,
+          NaN for a dummy *)
+  trace : Netsim.Tracebuf.t option;  (** whole-run deferred trace records *)
+  chunk_events : unit -> int;
+      (** what the event loop would have dispatched for the chunk *)
+  max_pending : unit -> int;
+      (** the stage's share of the [desim.queue_hwm] surrogate *)
+  flush : with_utilization:bool -> now:float -> unit;
+      (** fold the stage's counters into the registry, at the end of the
+          run ([with_utilization]) and on starvation or a budget trip *)
+}
+(** One pipeline stage.  A stage reads the output of the stage before it
+    (or, in front, generates its own), and runs over a chunk before the
+    next stage does. *)
+
+type origin = {
+  stages : stage list;  (** in pipeline order *)
+  overhead : unit -> float;
+  offered : unit -> int;
+}
+(** What an entry point puts in front of the hop chain, and the
+    accounting read off it after the run. *)
+
+type streams = {
+  root : Prng.Rng.t;  (** after the three splits below *)
+  payload : Prng.Rng.t;
+  gateway : Prng.Rng.t;
+  cross : Prng.Rng.t;  (** split per cross-traffic hop *)
+}
+(** A run's random streams: three splits off [Prng.Rng.create ~seed], in
+    this order. *)
+
+val kernel_stage : Padding.Kernel.t -> stage
+(** The gateway kernel as a stage: flushes the [padding.gateway.*]
+    counters and observes the queue occupancy after each chunk. *)
+
+val pipeline :
+  scenario:string ->
+  fresh_arena:bool ->
+  slack:float ->
+  min_chunk:float ->
+  config ->
+  count:int ->
+  count_error:string ->
+  expected_rate:float ->
+  (Arena.t -> streams -> origin) ->
+  result
+(** [pipeline ~scenario ... cfg ~count make_origin] runs the stages
+    [make_origin] configures from this domain's arena (a fresh one with
+    [fresh_arena]), then one {!Netsim.Linkstage} per hop of [cfg], with
+    the tap in front of hop [cfg.tap_position] and the receiver at the
+    end, until the tap holds [count] post-warm-up gaps.  The run is
+    traced as ["<scenario> seed=.. pps=.."].  [slack], [min_chunk] and
+    [expected_rate] size the chunks ({!Starvation.drive}; the entry
+    points above use slack 1.1 and a 0.1 s minimum chunk).  Raises
+    [Invalid_argument count_error] if [count < 1], and
+    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] as
+    {!run} does. *)

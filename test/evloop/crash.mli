@@ -1,4 +1,6 @@
-(** Gateway crash–restart: a {!Padding.Gateway} that dies and comes back.
+(** Gateway crash–restart on the discrete-event simulator: a
+    {!Padding.Gateway} that dies and comes back.  The reference for the
+    fused kernel's crashes ({!Padding.Kernel.faults}).
 
     A crash kills the running gateway instance: its timer stops (the cover
     stream goes silent — a hole every tap can see), its payload queue is

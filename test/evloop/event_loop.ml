@@ -10,11 +10,23 @@ let validate (cfg : System.config) =
 let start_payload_source sim ~model ~rng ~rate_pps ~size_bytes ~dest =
   match model with
   | System.Poisson_payload ->
-      Netsim.Traffic_gen.poisson sim ~rng ~rate_pps ~size_bytes
-        ~kind:Netsim.Packet.Payload ~dest ()
+      let g =
+        Netsim.Traffic_gen.poisson sim ~rng ~rate_pps ~size_bytes
+          ~kind:Netsim.Packet.Payload ~dest ()
+      in
+      {
+        Topology.generated = (fun () -> Netsim.Traffic_gen.generated g);
+        stop = (fun () -> Netsim.Traffic_gen.stop g);
+      }
   | System.Cbr_payload ->
-      Netsim.Traffic_gen.cbr sim ~rate_pps ~size_bytes
-        ~kind:Netsim.Packet.Payload ~dest ()
+      let g =
+        Traffic_gen.cbr sim ~rate_pps ~size_bytes ~kind:Netsim.Packet.Payload
+          ~dest ()
+      in
+      {
+        Topology.generated = (fun () -> Traffic_gen.generated g);
+        stop = (fun () -> Traffic_gen.stop g);
+      }
 
 (* What sits between the payload source and the chain entry. *)
 type front = {
@@ -41,7 +53,7 @@ let assemble arena (cfg : System.config) ~scenario ~count ~expected_rate
   let topo =
     Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
       ~tap_position:cfg.tap_position
-      ~tap_buffers:(Arena.tap_buffers arena)
+      ~tap_buffers:(arena.Arena.tap_times, arena.Arena.tap_sizes)
       ~dest:(Padding.Receiver.port receiver)
       ()
   in
@@ -52,22 +64,22 @@ let assemble arena (cfg : System.config) ~scenario ~count ~expected_rate
       ~dest:front.input
   in
   let warmup = cfg.warmup_piats in
-  Scenarios.Starvation.run_until_tap_count ~scenario ~slack:1.1 ~min_chunk:0.1
-    sim ~tap:topo.Topology.tap
+  Tap.run_until_count ~scenario ~slack:1.1 ~min_chunk:0.1 sim
+    ~tap:topo.Topology.tap
     ~target:(System.tap_target ~warmup ~count)
     ~expected_rate;
-  Netsim.Traffic_gen.stop source;
+  source.stop ();
   front.stop ();
   Topology.stop_cross topo;
   Desim.Sim.publish_metrics sim;
   let piats, timestamps =
-    System.observed ~warmup ~count (Netsim.Tap.timestamps topo.Topology.tap)
+    System.observed ~warmup ~count (Tap.timestamps topo.Topology.tap)
   in
   {
     System.piats;
     timestamps;
     overhead = front.overhead ();
-    payload_offered = Netsim.Traffic_gen.generated source;
+    payload_offered = source.generated ();
     payload_delivered = Padding.Receiver.payload_received receiver;
     payload_dropped_gw = 0;
     mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;

@@ -2,7 +2,7 @@ type cross_source = { generated : unit -> int; stop : unit -> unit }
 
 type t = {
   entry : Netsim.Link.port;
-  tap : Netsim.Tap.t;
+  tap : Tap.t;
   routers : Router.t array;
   cross_sources : cross_source list;
   sink_count : unit -> int;
@@ -34,7 +34,7 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
   Netsim.Topology.validate ~hops ~tap_position;
   let n = Array.length hops in
   let streams = Netsim.Topology.cross_streams ~rng hops in
-  let make_tap dest = Netsim.Tap.create sim ?buffers:tap_buffers ~dest () in
+  let make_tap dest = Tap.create sim ?buffers:tap_buffers ~dest () in
   let received = ref 0 in
   let sink pkt =
     if Netsim.Packet.is_padded pkt then incr received;
@@ -51,7 +51,7 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
     if tap_position = i + 1 then begin
       let t = make_tap !downstream in
       tap := Some t;
-      downstream := Netsim.Tap.port t
+      downstream := Tap.port t
     end;
     let spec = hops.(i) in
     let router =
@@ -71,7 +71,7 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
   if tap_position = 0 then begin
     let t = make_tap !downstream in
     tap := Some t;
-    downstream := Netsim.Tap.port t
+    downstream := Tap.port t
   end;
   let tap =
     match !tap with

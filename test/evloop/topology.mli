@@ -7,7 +7,7 @@ type cross_source = { generated : unit -> int; stop : unit -> unit }
 
 type t = {
   entry : Netsim.Link.port;  (** where the sender gateway pushes packets *)
-  tap : Netsim.Tap.t;  (** the adversary's observation point *)
+  tap : Tap.t;  (** the adversary's observation point *)
   routers : Router.t array;
   cross_sources : cross_source list;
   sink_count : unit -> int;  (** padded packets that reached the far end *)
@@ -30,7 +30,7 @@ val chain :
     from {!Netsim.Topology.cross_streams}.  Packets surviving the last hop
     go to [dest] (default: a counting-only sink); [sink_count] counts
     padded packets reaching the far end either way.  [tap_buffers] is
-    handed to {!Netsim.Tap.create} for recording-storage reuse. *)
+    handed to {!Tap.create} for recording-storage reuse. *)
 
 val stop_cross : t -> unit
 (** Observe every hop's utilization and stop all cross-traffic sources

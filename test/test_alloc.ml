@@ -97,10 +97,36 @@ let test_linkstage_advance () =
           ("propagation 5 ms, queue limit 64", 0.005, Some 64);
         ])
 
+(* A faulty run with every injector active (the known-answer tests' hot
+   profile: bursty loss, duplication, reordering, a drifting clock with
+   catch-up fires, flapping and crashes), after a warm-up run has grown
+   the arena.  The words include the run's result arrays and every float
+   this build boxes across a module boundary: each random draw, and each
+   input element the two wire stages read.  Measured: 69.1 words/PIAT
+   (55.4 with no fault active; [System.run] at the same settings
+   47.7). *)
+let test_faulty_run () =
+  native (fun () ->
+      let piats = 20_000 in
+      let cfg =
+        {
+          Scenarios.Degradation.default_config with
+          seed = 9;
+          profile = Test_known_answers.hot_profile;
+        }
+      in
+      let run () =
+        ignore (Scenarios.Degradation.run_faulty cfg ~piats : Scenarios.Degradation.run_result)
+      in
+      let per_piat = words_per_call 1 run /. float_of_int piats in
+      if per_piat > 140.0 then
+        Alcotest.failf "faulty run: %.2f words/PIAT (want <= 140)" per_piat)
+
 let suite =
   [
     Alcotest.test_case "Rng step allocates nothing" `Quick test_rng_step;
     Alcotest.test_case "exponential_fill per draw" `Quick test_exponential_fill;
     Alcotest.test_case "Linkstage.advance per packet" `Quick
       test_linkstage_advance;
+    Alcotest.test_case "faulty run per PIAT" `Quick test_faulty_run;
   ]

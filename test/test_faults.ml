@@ -1,7 +1,9 @@
 (* Fault injectors and the graceful-degradation scenario: loss models,
    outage scheduling, clock faults, crash-restart, the gap-aware adversary,
    and the two headline regressions (zero faults = baseline; loss > 0 is a
-   leak, not a countermeasure). *)
+   leak, not a countermeasure).  The injector tests exercise the
+   event-loop injectors in test/evloop/, the reference the staged faulty
+   run is checked against in test_degradation_differential. *)
 
 let mk_payload sim =
   Netsim.Packet.make ~kind:Netsim.Packet.Payload ~size_bytes:500
@@ -18,26 +20,37 @@ let test_lossy_validation () =
   Alcotest.check_raises "bad reorder delay"
     (Invalid_argument "Lossy: reorder_delay must be positive") (fun () ->
       ignore
-        (Faults.Lossy.create sim ~rng ~reorder_delay:0.0 ~dest:(fun _ -> ()) ()))
+        (Evloop.Lossy.create sim ~rng ~reorder_delay:0.0 ~dest:(fun _ -> ()) ()));
+  let empty = Netsim.Fvec.create () in
+  Alcotest.check_raises "bad reorder delay (stage)"
+    (Invalid_argument "Lossy: reorder_delay must be positive") (fun () ->
+      Faults.Lossy.configure (Faults.Lossy.create ()) ~rng ~loss:Faults.Lossy.No_loss
+        ~dup_prob:0.0 ~reorder_prob:0.0 ~reorder_delay:0.0 ~in_t:empty
+        ~in_tag:empty);
+  Alcotest.check_raises "bad dup probability (stage)"
+    (Invalid_argument "Lossy: dup_prob out of range") (fun () ->
+      Faults.Lossy.configure (Faults.Lossy.create ()) ~rng ~loss:Faults.Lossy.No_loss
+        ~dup_prob:1.0 ~reorder_prob:0.0 ~reorder_delay:0.005 ~in_t:empty
+        ~in_tag:empty)
 
 let test_lossy_bernoulli_rate () =
   let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed:2 in
   let delivered = ref 0 in
   let lossy =
-    Faults.Lossy.create sim ~rng ~loss:(Faults.Lossy.Bernoulli 0.3)
+    Evloop.Lossy.create sim ~rng ~loss:(Faults.Lossy.Bernoulli 0.3)
       ~dest:(fun _ -> incr delivered)
       ()
   in
   let n = 20_000 in
   for _ = 1 to n do
-    Faults.Lossy.port lossy (mk_payload sim)
+    Evloop.Lossy.port lossy (mk_payload sim)
   done;
-  Alcotest.(check int) "offered" n (Faults.Lossy.offered lossy);
+  Alcotest.(check int) "offered" n (Evloop.Lossy.offered lossy);
   Alcotest.(check int) "conservation" n
-    (Faults.Lossy.lost lossy + Faults.Lossy.passed lossy);
-  Alcotest.(check int) "dest saw passed" (Faults.Lossy.passed lossy) !delivered;
-  let rate = Faults.Lossy.loss_rate lossy in
+    (Evloop.Lossy.lost lossy + Evloop.Lossy.passed lossy);
+  Alcotest.(check int) "dest saw passed" (Evloop.Lossy.passed lossy) !delivered;
+  let rate = Evloop.Lossy.loss_rate lossy in
   if Float.abs (rate -. 0.3) > 0.02 then
     Alcotest.failf "Bernoulli loss rate %.4f far from 0.3" rate
 
@@ -50,7 +63,7 @@ let test_lossy_gilbert_elliott_bursty () =
   in
   let got = Hashtbl.create 1024 in
   let lossy =
-    Faults.Lossy.create sim ~rng ~loss:model
+    Evloop.Lossy.create sim ~rng ~loss:model
       ~dest:(fun pkt -> Hashtbl.replace got pkt.Netsim.Packet.id ())
       ()
   in
@@ -58,11 +71,11 @@ let test_lossy_gilbert_elliott_bursty () =
   let ids =
     Array.init n (fun _ ->
         let pkt = mk_payload sim in
-        Faults.Lossy.port lossy pkt;
+        Evloop.Lossy.port lossy pkt;
         pkt.Netsim.Packet.id)
   in
   let lost_flag = Array.map (fun id -> not (Hashtbl.mem got id)) ids in
-  let marginal = Faults.Lossy.loss_rate lossy in
+  let marginal = Evloop.Lossy.loss_rate lossy in
   let expected = Faults.Lossy.expected_loss_rate model in
   if Float.abs (marginal -. expected) > 0.05 then
     Alcotest.failf "GE loss rate %.4f far from stationary %.4f" marginal expected;
@@ -84,14 +97,14 @@ let test_lossy_duplication () =
   let rng = Prng.Rng.create ~seed:4 in
   let delivered = ref 0 in
   let lossy =
-    Faults.Lossy.create sim ~rng ~dup_prob:0.2
+    Evloop.Lossy.create sim ~rng ~dup_prob:0.2
       ~dest:(fun _ -> incr delivered)
       ()
   in
   for _ = 1 to 5_000 do
-    Faults.Lossy.port lossy (mk_payload sim)
+    Evloop.Lossy.port lossy (mk_payload sim)
   done;
-  let dup = Faults.Lossy.duplicated lossy in
+  let dup = Evloop.Lossy.duplicated lossy in
   Alcotest.(check bool) "some duplicates" true (dup > 800 && dup < 1_200);
   Alcotest.(check int) "each duplicate delivered twice" (5_000 + dup) !delivered
 
@@ -100,7 +113,7 @@ let test_lossy_bounded_reordering () =
   let rng = Prng.Rng.create ~seed:5 in
   let order = ref [] in
   let lossy =
-    Faults.Lossy.create sim ~rng ~reorder_prob:0.3 ~reorder_delay:0.005
+    Evloop.Lossy.create sim ~rng ~reorder_prob:0.3 ~reorder_delay:0.005
       ~dest:(fun pkt ->
         order := (pkt.Netsim.Packet.id, Desim.Sim.now sim) :: !order)
       ()
@@ -112,13 +125,13 @@ let test_lossy_bounded_reordering () =
       (Desim.Sim.at sim ~time:t (fun () ->
            let pkt = mk_payload sim in
            sent := (pkt.Netsim.Packet.id, t) :: !sent;
-           Faults.Lossy.port lossy pkt)
+           Evloop.Lossy.port lossy pkt)
         : Desim.Sim.handle)
   done;
   Desim.Sim.run_until sim ~time:1.0;
   let arrivals = List.rev !order in
   Alcotest.(check int) "all delivered" 200 (List.length arrivals);
-  Alcotest.(check bool) "some reordered" true (Faults.Lossy.reordered lossy > 20);
+  Alcotest.(check bool) "some reordered" true (Evloop.Lossy.reordered lossy > 20);
   let sent_tbl = Hashtbl.create 256 in
   List.iter (fun (id, t) -> Hashtbl.replace sent_tbl id t) !sent;
   List.iter
@@ -137,42 +150,42 @@ let test_lossy_bounded_reordering () =
 let test_outage_scheduled_window () =
   let sim = Desim.Sim.create () in
   let delivered = ref 0 in
-  let out = Faults.Outage.create sim ~dest:(fun _ -> incr delivered) () in
-  Faults.Outage.schedule out ~at:1.0 ~duration:2.0;
+  let out = Evloop.Outage.create sim ~dest:(fun _ -> incr delivered) () in
+  Evloop.Outage.schedule out ~at:1.0 ~duration:2.0;
   List.iter
     (fun t ->
       ignore
         (Desim.Sim.at sim ~time:t (fun () ->
-             Faults.Outage.port out (mk_payload sim))
+             Evloop.Outage.port out (mk_payload sim))
           : Desim.Sim.handle))
     [ 0.5; 1.5; 2.5; 3.5 ];
   Desim.Sim.run_until sim ~time:5.0;
   Alcotest.(check int) "two pass" 2 !delivered;
-  Alcotest.(check int) "two dropped" 2 (Faults.Outage.dropped out);
-  Alcotest.(check int) "one outage" 1 (Faults.Outage.outages out);
-  Alcotest.(check (float 1e-9)) "downtime" 2.0 (Faults.Outage.downtime out);
-  Alcotest.(check bool) "back up" true (Faults.Outage.is_up out)
+  Alcotest.(check int) "two dropped" 2 (Evloop.Outage.dropped out);
+  Alcotest.(check int) "one outage" 1 (Evloop.Outage.outages out);
+  Alcotest.(check (float 1e-9)) "downtime" 2.0 (Evloop.Outage.downtime out);
+  Alcotest.(check bool) "back up" true (Evloop.Outage.is_up out)
 
 let test_outage_flapping_fraction () =
   let sim = Desim.Sim.create () in
-  let out = Faults.Outage.create sim ~dest:(fun _ -> ()) () in
+  let out = Evloop.Outage.create sim ~dest:(fun _ -> ()) () in
   let rng = Prng.Rng.create ~seed:6 in
-  Faults.Outage.flap out ~rng ~mean_up:1.0 ~mean_down:1.0;
+  Evloop.Outage.flap out ~rng ~mean_up:1.0 ~mean_down:1.0;
   Alcotest.check_raises "double flap"
     (Invalid_argument "Outage.flap: already flapping") (fun () ->
-      Faults.Outage.flap out ~rng ~mean_up:1.0 ~mean_down:1.0);
+      Evloop.Outage.flap out ~rng ~mean_up:1.0 ~mean_down:1.0);
   Desim.Sim.run_until sim ~time:400.0;
-  let frac = Faults.Outage.downtime out /. 400.0 in
+  let frac = Evloop.Outage.downtime out /. 400.0 in
   if frac < 0.35 || frac > 0.65 then
     Alcotest.failf "flap downtime fraction %.3f far from 0.5" frac;
-  Alcotest.(check bool) "many outages" true (Faults.Outage.outages out > 50);
-  Faults.Outage.stop_flapping out;
-  let dt = Faults.Outage.downtime out in
+  Alcotest.(check bool) "many outages" true (Evloop.Outage.outages out > 50);
+  Evloop.Outage.stop_flapping out;
+  let dt = Evloop.Outage.downtime out in
   Desim.Sim.run_until sim ~time:800.0;
   (* Once flapping stops, the link settles up and downtime freezes. *)
-  Alcotest.(check bool) "up after stop" true (Faults.Outage.is_up out);
+  Alcotest.(check bool) "up after stop" true (Evloop.Outage.is_up out);
   Alcotest.(check bool) "downtime frozen" true
-    (Faults.Outage.downtime out -. dt < 2.0)
+    (Evloop.Outage.downtime out -. dt < 2.0)
 
 (* --- Clock faults --- *)
 
@@ -180,7 +193,7 @@ let test_clock_ideal_identity () =
   let law = Padding.Timer.Normal { mean = 0.01; sigma = 2e-3 } in
   let rng_direct = Prng.Rng.create ~seed:7 in
   let rng_gen = Prng.Rng.create ~seed:7 in
-  let gen = Faults.Clock.intervals Faults.Clock.ideal ~law ~rng:rng_gen in
+  let gen = Evloop.Clock.intervals Faults.Clock.ideal ~law ~rng:rng_gen in
   for i = 1 to 2_000 do
     let a = Padding.Timer.draw law rng_direct and b = gen () in
     if a <> b then Alcotest.failf "ideal clock diverged at draw %d" i
@@ -189,7 +202,7 @@ let test_clock_ideal_identity () =
 let test_clock_drift_scales_mean () =
   let law = Padding.Timer.Constant 0.01 in
   let spec = { Faults.Clock.ideal with Faults.Clock.drift = 0.05 } in
-  let gen = Faults.Clock.intervals spec ~law ~rng:(Prng.Rng.create ~seed:8) in
+  let gen = Evloop.Clock.intervals spec ~law ~rng:(Prng.Rng.create ~seed:8) in
   for _ = 1 to 100 do
     Alcotest.(check (float 1e-12)) "drifted interval" 0.0105 (gen ())
   done
@@ -204,7 +217,7 @@ let test_clock_missed_fires_coalesce () =
       max_consecutive_misses = 4;
     }
   in
-  let gen = Faults.Clock.intervals spec ~law ~rng:(Prng.Rng.create ~seed:9) in
+  let gen = Evloop.Clock.intervals spec ~law ~rng:(Prng.Rng.create ~seed:9) in
   let long = ref 0 in
   for _ = 1 to 5_000 do
     let dt = gen () in
@@ -226,11 +239,11 @@ let test_clock_catchup_bursts () =
       max_consecutive_misses = 3;
     }
   in
-  let gen = Faults.Clock.intervals spec ~law ~rng:(Prng.Rng.create ~seed:10) in
+  let gen = Evloop.Clock.intervals spec ~law ~rng:(Prng.Rng.create ~seed:10) in
   let bursts = ref 0 and holes = ref 0 in
   for _ = 1 to 5_000 do
     let dt = gen () in
-    if dt = Faults.Clock.catchup_spacing then incr bursts
+    if dt = Padding.Kernel.catchup_spacing then incr bursts
     else if dt > 0.015 then incr holes
   done;
   Alcotest.(check bool) "catch-up fires replayed" true (!bursts > 500);
@@ -255,7 +268,7 @@ let crash_gateway ~mtbf ~restart_delay ~rate_pps ~horizon ~seed =
   let rng_src = Prng.Rng.split root in
   let emissions = ref [] in
   let crash =
-    Faults.Crash.create sim ~rng ~failure_rng
+    Evloop.Crash.create sim ~rng ~failure_rng
       ~timer:(Padding.Timer.Constant 0.01) ~jitter:Padding.Jitter.none ~mtbf
       ~restart_delay
       ~dest:(fun _ -> emissions := Desim.Sim.now sim :: !emissions)
@@ -263,7 +276,7 @@ let crash_gateway ~mtbf ~restart_delay ~rate_pps ~horizon ~seed =
   in
   let src =
     Netsim.Traffic_gen.poisson sim ~rng:rng_src ~rate_pps ~size_bytes:500
-      ~kind:Netsim.Packet.Payload ~dest:(Faults.Crash.input crash) ()
+      ~kind:Netsim.Packet.Payload ~dest:(Evloop.Crash.input crash) ()
   in
   Desim.Sim.run_until sim ~time:horizon;
   Netsim.Traffic_gen.stop src;
@@ -274,7 +287,7 @@ let test_crash_punches_holes_and_recovers () =
     crash_gateway ~mtbf:2.0 ~restart_delay:1.0 ~rate_pps:20.0 ~horizon:60.0
       ~seed:11
   in
-  let crashes = Faults.Crash.crashes crash in
+  let crashes = Evloop.Crash.crashes crash in
   Alcotest.(check bool) "crashed several times" true (crashes >= 5);
   let max_gap = ref 0.0 in
   List.iteri
@@ -284,7 +297,7 @@ let test_crash_punches_holes_and_recovers () =
     emissions;
   Alcotest.(check bool) "restart hole visible on the wire" true
     (!max_gap >= 0.99);
-  let dt = Faults.Crash.downtime crash in
+  let dt = Evloop.Crash.downtime crash in
   Alcotest.(check bool) "downtime bounded by crash count" true
     (dt >= float_of_int (crashes - 1) *. 1.0 -. 1e-6
     && dt <= (float_of_int crashes *. 1.0) +. 1e-6);
@@ -298,14 +311,14 @@ let test_crash_payload_conservation () =
   in
   let offered = Netsim.Traffic_gen.generated src in
   let accounted =
-    Faults.Crash.payload_sent crash
-    + Faults.Crash.payload_dropped crash
-    + Faults.Crash.payload_lost crash
-    + Faults.Crash.queue_length crash
+    Evloop.Crash.payload_sent crash
+    + Evloop.Crash.payload_dropped crash
+    + Evloop.Crash.payload_lost crash
+    + Evloop.Crash.queue_length crash
   in
   Alcotest.(check int) "offered fully accounted" offered accounted;
   Alcotest.(check bool) "crash losses observed" true
-    (Faults.Crash.payload_lost crash > 0)
+    (Evloop.Crash.payload_lost crash > 0)
 
 let test_crash_never_with_infinite_mtbf () =
   (* With mtbf = infinity the wrapper must be byte-identical to a plain
@@ -320,11 +333,11 @@ let test_crash_never_with_infinite_mtbf () =
     let stop =
       if wrap then begin
         let c =
-          Faults.Crash.create sim ~rng
+          Evloop.Crash.create sim ~rng
             ~failure_rng:(Prng.Rng.create ~seed:999) ~timer ~jitter
             ~mtbf:infinity ~restart_delay:1.0 ~dest ()
         in
-        fun () -> Faults.Crash.stop c
+        fun () -> Evloop.Crash.stop c
       end
       else begin
         let g = Padding.Gateway.create sim ~rng ~timer ~jitter ~dest () in
@@ -344,10 +357,10 @@ let test_crash_stop_silences () =
     crash_gateway ~mtbf:2.0 ~restart_delay:1.0 ~rate_pps:20.0 ~horizon:10.0
       ~seed:14
   in
-  let fires_before = Faults.Crash.fires crash in
-  Faults.Crash.stop crash;
+  let fires_before = Evloop.Crash.fires crash in
+  Evloop.Crash.stop crash;
   Alcotest.(check int) "fires frozen after stop" fires_before
-    (Faults.Crash.fires crash)
+    (Evloop.Crash.fires crash)
 
 (* --- Gap-aware adversary --- *)
 
@@ -517,6 +530,97 @@ let test_degradation_profile_validation () =
     (Scenarios.Degradation.profile_of_intensity 0.0
     = Scenarios.Degradation.fault_free)
 
+(* --- Degradation: the staged faulty run against its event-loop
+   reference --- *)
+
+(* Everything but the event-queue-depth gauge (a surrogate on the
+   pipeline) and the desim.kernel.* counters (which path ran). *)
+let filtered_snapshot snap =
+  List.filter
+    (fun (name, _) ->
+      name <> "desim.queue_hwm"
+      && not (String.length name >= 12 && String.sub name 0 12 = "desim.kernel"))
+    snap
+
+let snapshot_str snap =
+  Format.asprintf "%a" Obs.Metrics.Snapshot.pp (filtered_snapshot snap)
+
+(* One run from a clean registry, traced: its outcome (the result, or the
+   starvation it raised with the snapshot inside), the metric totals and
+   the ta-trace/1 bytes. *)
+let traced_run engine cfg ~piats =
+  Obs.Metrics.reset ();
+  let path = Filename.temp_file "faulty_trace" ".jsonl" in
+  Obs.Trace.enable ~path;
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.disable ())
+      (fun () ->
+        let r =
+          match engine cfg ~piats with
+          | r -> Ok r
+          | exception
+              Scenarios.Starvation.Tap_starved
+                { scenario; target; observed; sim_time; metrics } ->
+              Error (scenario, target, observed, sim_time, snapshot_str metrics)
+        in
+        Obs.Trace.flush ();
+        r)
+  in
+  let trace = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (outcome, snapshot_str (Obs.Metrics.snapshot ()), trace)
+
+let test_degradation_differential () =
+  let profiles =
+    [
+      ("0.05", Scenarios.Degradation.profile_of_intensity 0.05, 1500);
+      ("0.2", Scenarios.Degradation.profile_of_intensity 0.2, 1500);
+      ("hot", Test_known_answers.hot_profile, 2500);
+      (* A blackout: both starve the tap at the same instant. *)
+      ("1", Scenarios.Degradation.profile_of_intensity 1.0, 300);
+    ]
+  in
+  List.iter
+    (fun (label, profile, piats) ->
+      List.iter
+        (fun seed ->
+          let name = Printf.sprintf "%s seed=%d" label seed in
+          let cfg = { Scenarios.Degradation.default_config with seed; profile } in
+          let rp, sp, tp =
+            traced_run Scenarios.Degradation.run_faulty cfg ~piats
+          in
+          let re, se, te = traced_run Evloop.Faulty.run_faulty cfg ~piats in
+          (* compare, not (=): latencies are NaN with nothing delivered *)
+          if Stdlib.compare rp re <> 0 then
+            Alcotest.failf "%s: staged and event-loop outcomes differ" name;
+          Alcotest.(check string) (name ^ ": metric totals") se sp;
+          Alcotest.(check bool) (name ^ ": trace non-trivial") true
+            (String.length tp > 1000);
+          Alcotest.(check string) (name ^ ": trace bytes") te tp)
+        [ 3; 41; 977 ])
+    profiles
+
+(* The differential exercises every fault: it is not vacuous. *)
+let test_degradation_differential_covers_faults () =
+  Obs.Metrics.reset ();
+  let r =
+    Scenarios.Degradation.run_faulty
+      { Scenarios.Degradation.default_config with seed = 41; profile = Test_known_answers.hot_profile }
+      ~piats:2500
+  in
+  let count name =
+    Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ()) name
+  in
+  Alcotest.(check bool) "crashes" true (r.Scenarios.Degradation.crashes > 0);
+  List.iter
+    (fun name -> Alcotest.(check bool) name true (count name > 0))
+    [
+      "faults.clock.missed_fires"; "faults.crash.payload_lost"; "faults.lossy.lost";
+      "faults.lossy.duplicated"; "faults.lossy.reordered"; "faults.outage.outages";
+      "faults.outage.dropped";
+    ]
+
 let suite =
   [
     Alcotest.test_case "lossy validation" `Quick test_lossy_validation;
@@ -549,4 +653,8 @@ let suite =
       test_degradation_loss_leaks_to_gap_aware_adversary;
     Alcotest.test_case "degradation: profile validation" `Quick
       test_degradation_profile_validation;
+    Alcotest.test_case "degradation: staged = event loop" `Quick
+      test_degradation_differential;
+    Alcotest.test_case "degradation: differential covers every fault" `Quick
+      test_degradation_differential_covers_faults;
   ]

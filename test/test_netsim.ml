@@ -285,27 +285,27 @@ let test_router_cross_delays_padded () =
 let test_tap_records_padded_only () =
   let sim = Desim.Sim.create () in
   let passed = ref 0 in
-  let tap = Netsim.Tap.create sim ~dest:(fun _ -> incr passed) () in
-  Netsim.Tap.port tap (mk_packet ~kind:Netsim.Packet.Payload sim);
-  Netsim.Tap.port tap (mk_packet ~kind:Netsim.Packet.Cross sim);
-  Netsim.Tap.port tap (mk_packet ~kind:Netsim.Packet.Dummy sim);
-  Alcotest.(check int) "records padded" 2 (Netsim.Tap.count tap);
+  let tap = Evloop.Tap.create sim ~dest:(fun _ -> incr passed) () in
+  Evloop.Tap.port tap (mk_packet ~kind:Netsim.Packet.Payload sim);
+  Evloop.Tap.port tap (mk_packet ~kind:Netsim.Packet.Cross sim);
+  Evloop.Tap.port tap (mk_packet ~kind:Netsim.Packet.Dummy sim);
+  Alcotest.(check int) "records padded" 2 (Evloop.Tap.count tap);
   Alcotest.(check int) "forwards everything" 3 !passed
 
 let test_tap_piats () =
   let sim = Desim.Sim.create () in
-  let tap = Netsim.Tap.create sim ~dest:(fun _ -> ()) () in
+  let tap = Evloop.Tap.create sim ~dest:(fun _ -> ()) () in
   List.iter
     (fun t ->
       ignore
-        (Desim.Sim.at sim ~time:t (fun () -> Netsim.Tap.port tap (mk_packet sim))))
+        (Desim.Sim.at sim ~time:t (fun () -> Evloop.Tap.port tap (mk_packet sim))))
     [ 1.0; 2.5; 3.0 ];
   Desim.Sim.run_until sim ~time:5.0;
-  Alcotest.(check (array (float 1e-9))) "diffs" [| 1.5; 0.5 |] (Netsim.Tap.piats tap);
-  Netsim.Tap.clear tap;
-  Alcotest.(check int) "cleared" 0 (Netsim.Tap.count tap);
+  Alcotest.(check (array (float 1e-9))) "diffs" [| 1.5; 0.5 |] (Evloop.Tap.piats tap);
+  Evloop.Tap.clear tap;
+  Alcotest.(check int) "cleared" 0 (Evloop.Tap.count tap);
   Alcotest.(check (array (float 0.0))) "piats empty after clear" [||]
-    (Netsim.Tap.piats tap)
+    (Evloop.Tap.piats tap)
 
 (* --- Traffic generators --- *)
 
@@ -313,13 +313,13 @@ let test_cbr_rate () =
   let sim = Desim.Sim.create () in
   let count = ref 0 in
   let gen =
-    Netsim.Traffic_gen.cbr sim ~rate_pps:10.0 ~size_bytes:100
+    Evloop.Traffic_gen.cbr sim ~rate_pps:10.0 ~size_bytes:100
       ~kind:Netsim.Packet.Payload ~dest:(fun _ -> incr count) ()
   in
   Desim.Sim.run_until sim ~time:10.0;
   Alcotest.(check int) "100 packets in 10s" 100 !count;
-  Alcotest.(check int) "generated counter" 100 (Netsim.Traffic_gen.generated gen);
-  Netsim.Traffic_gen.stop gen;
+  Alcotest.(check int) "generated counter" 100 (Evloop.Traffic_gen.generated gen);
+  Evloop.Traffic_gen.stop gen;
   Desim.Sim.run_until sim ~time:20.0;
   Alcotest.(check int) "stopped" 100 !count
 
@@ -430,7 +430,7 @@ let test_chain_delivery_and_tap () =
     Desim.Sim.run_until sim ~time:(Desim.Sim.now sim +. 0.01)
   done;
   Desim.Sim.run_until sim ~time:(Desim.Sim.now sim +. 1.0);
-  Alcotest.(check int) "tap saw all" 10 (Netsim.Tap.count topo.Evloop.Topology.tap);
+  Alcotest.(check int) "tap saw all" 10 (Evloop.Tap.count topo.Evloop.Topology.tap);
   Alcotest.(check int) "sink got all" 10 (topo.Evloop.Topology.sink_count ())
 
 let test_chain_cross_does_not_reach_sink () =
@@ -465,7 +465,7 @@ let test_chain_tap_positions_valid () =
   let topo = Evloop.Topology.chain sim ~rng ~hops:[||] ~tap_position:0 () in
   topo.Evloop.Topology.entry (mk_packet sim);
   Desim.Sim.run_until sim ~time:1.0;
-  Alcotest.(check int) "tap at entry" 1 (Netsim.Tap.count topo.Evloop.Topology.tap)
+  Alcotest.(check int) "tap at entry" 1 (Evloop.Tap.count topo.Evloop.Topology.tap)
 
 let suite =
   [

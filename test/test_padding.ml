@@ -134,10 +134,10 @@ let make_system ?(timer = Padding.Timer.Constant 0.01)
     ?(jitter = Padding.Jitter.none) ?(payload_rate = 10.0) ~seed () =
   let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed in
-  let tap = Netsim.Tap.create sim ~dest:(fun _ -> ()) () in
+  let tap = Evloop.Tap.create sim ~dest:(fun _ -> ()) () in
   let gw =
     Padding.Gateway.create sim ~rng:(Prng.Rng.split rng) ~timer ~jitter
-      ~dest:(Netsim.Tap.port tap) ()
+      ~dest:(Evloop.Tap.port tap) ()
   in
   let src =
     Netsim.Traffic_gen.poisson sim ~rng:(Prng.Rng.split rng)
@@ -150,14 +150,14 @@ let test_gateway_constant_output_rate () =
   let sim, tap, gw, _ = make_system ~seed:118 () in
   Desim.Sim.run_until sim ~time:50.0;
   (* 100 fires/s for 50 s = 5000 packets regardless of payload *)
-  Alcotest.(check int) "output count" 5000 (Netsim.Tap.count tap);
+  Alcotest.(check int) "output count" 5000 (Evloop.Tap.count tap);
   Alcotest.(check int) "fires" 5000 (Padding.Gateway.fires gw)
 
 let test_gateway_output_rate_independent_of_payload () =
   let count rate seed =
     let sim, tap, _, _ = make_system ~payload_rate:rate ~seed () in
     Desim.Sim.run_until sim ~time:50.0;
-    Netsim.Tap.count tap
+    Evloop.Tap.count tap
   in
   Alcotest.(check int) "10pps = 40pps on the wire" (count 10.0 119) (count 40.0 120)
 
@@ -183,7 +183,7 @@ let test_gateway_dummy_fill () =
 let test_gateway_piat_near_period_without_jitter () =
   let sim, tap, _, _ = make_system ~seed:123 () in
   Desim.Sim.run_until sim ~time:20.0;
-  let piats = Netsim.Tap.piats tap in
+  let piats = Evloop.Tap.piats tap in
   Array.iter (fun x -> close ~tol:1e-9 "exact period" 0.01 x) piats
 
 let test_gateway_fifo_payload_order () =
@@ -274,9 +274,9 @@ let test_gateway_stop () =
   let sim, tap, gw, _ = make_system ~seed:127 () in
   Desim.Sim.run_until sim ~time:1.0;
   Padding.Gateway.stop gw;
-  let frozen = Netsim.Tap.count tap in
+  let frozen = Evloop.Tap.count tap in
   Desim.Sim.run_until sim ~time:5.0;
-  Alcotest.(check int) "no more output" frozen (Netsim.Tap.count tap)
+  Alcotest.(check int) "no more output" frozen (Evloop.Tap.count tap)
 
 let test_gateway_vit_piat_sigma () =
   let sigma_t = 2e-4 in
@@ -286,7 +286,7 @@ let test_gateway_vit_piat_sigma () =
       ~seed:128 ()
   in
   Desim.Sim.run_until sim ~time:200.0;
-  let piats = Netsim.Tap.piats tap in
+  let piats = Evloop.Tap.piats tap in
   close ~tol:0.05 "PIAT sigma = sigma_T" sigma_t (Stats.Descriptive.std piats);
   close ~tol:0.01 "PIAT mean = tau" 0.01 (Stats.Descriptive.mean piats)
 
@@ -299,7 +299,7 @@ let test_gateway_monotone_emissions () =
   Desim.Sim.run_until sim ~time:50.0;
   Array.iter
     (fun x -> if x < 0.0 then Alcotest.fail "negative PIAT")
-    (Netsim.Tap.piats tap)
+    (Evloop.Tap.piats tap)
 
 (* --- Receiver --- *)
 

@@ -7,24 +7,24 @@ let close ?(tol = 1e-9) msg expected actual =
 
 let test_tap_records_sizes () =
   let sim = Desim.Sim.create () in
-  let tap = Netsim.Tap.create sim ~dest:(fun _ -> ()) () in
+  let tap = Evloop.Tap.create sim ~dest:(fun _ -> ()) () in
   List.iter
     (fun size ->
-      Netsim.Tap.port tap
+      Evloop.Tap.port tap
         (Netsim.Packet.make ~kind:Netsim.Packet.Payload ~size_bytes:size
            ~created:0.0))
     [ 100; 250; 1460 ];
   Alcotest.(check (array int)) "sizes in order" [| 100; 250; 1460 |]
-    (Netsim.Tap.sizes tap);
-  Netsim.Tap.clear tap;
-  Alcotest.(check (array int)) "sizes cleared" [||] (Netsim.Tap.sizes tap)
+    (Evloop.Tap.sizes tap);
+  Evloop.Tap.clear tap;
+  Alcotest.(check (array int)) "sizes cleared" [||] (Evloop.Tap.sizes tap)
 
 let test_poisson_sized () =
   let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed:251 in
   let sizes = ref [] in
   let _src =
-    Netsim.Traffic_gen.poisson_sized sim ~rng ~rate_pps:100.0
+    Evloop.Traffic_gen.poisson_sized sim ~rng ~rate_pps:100.0
       ~size_of:(fun rng -> 100 + Prng.Rng.int rng ~bound:900)
       ~kind:Netsim.Packet.Payload
       ~dest:(fun p -> sizes := p.Netsim.Packet.size_bytes :: !sizes)
