@@ -3,7 +3,7 @@
     With variable-size packets on the wire, the per-window mean size and
     the size entropy classify the traffic class just like the timing
     features classify the rate.  This module mounts that attack on the
-    size column a {!Netsim.Tap} records; against a size-padded stream
+    size column a tap records; against a size-padded stream
     every window collapses to the constant target and detection falls to
     the floor. *)
 

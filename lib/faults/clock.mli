@@ -1,38 +1,18 @@
-(** Gateway clock faults: systematic drift, missed timer fires, and fire
-    coalescing after overruns.
-
-    The paper's timer is ideal — every period T produces exactly one fire.
-    Real timers drift (oscillator rate error), miss fires (the interrupt is
-    masked through a whole period), and handle overruns in one of two ways:
-    {e coalescing} (the missed expirations collapse into the next fire,
-    leaving a k·T hole in the cover stream) or {e catch-up} (the kernel
-    replays the missed fires back-to-back, producing a burst).  Both
-    signatures are visible to a tap and neither appears in the closed-form
-    theorems.
-
-    A spec is a timer-law variant of the fused gateway kernel
-    ({!Padding.Kernel.clock}, where the arithmetic is stated); this module
-    names the spec and checks it. *)
+(** Gateway clock faults: systematic drift, missed timer fires, and
+    coalescing or catch-up after overruns — signatures a tap sees and the
+    closed-form theorems do not.  A spec is a timer-law variant of the
+    fused gateway kernel ({!Padding.Kernel.clock} states the
+    arithmetic). *)
 
 type spec = Padding.Kernel.clock = {
-  drift : float;
-      (** Fractional clock-rate error: intervals are scaled by
-          [1. +. drift].  Must be > -1 (a clock cannot run backwards). *)
-  miss_prob : float;
-      (** Probability, per scheduled fire, that the fire is silently
-          missed; in \[0, 1). *)
-  coalesce : bool;
-      (** [true]: missed fires are absorbed — the wire sees one interval
-          of (k+1) periods.  [false]: after the overrun, the k missed
-          fires are replayed back-to-back at
-          {!Padding.Kernel.catchup_spacing}. *)
-  max_consecutive_misses : int;
-      (** Cap on k, >= 1; bounds the hole/burst length. *)
+  drift : float;  (** intervals scale by [1. +. drift]; > -1 *)
+  miss_prob : float;  (** per scheduled fire; in \[0, 1) *)
+  coalesce : bool;  (** absorb missed fires, or replay them back to back *)
+  max_consecutive_misses : int;  (** >= 1 *)
 }
 
 val ideal : spec
 (** No drift, no misses — the plain timer law. *)
 
 val validate : spec -> unit
-(** Raises [Invalid_argument] unless [drift > -1], [miss_prob] is in
-    \[0, 1) and [max_consecutive_misses >= 1]. *)
+(** Raises [Invalid_argument] outside the ranges above. *)

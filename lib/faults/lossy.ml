@@ -33,20 +33,20 @@ let expected_loss_rate = function
         ((1.0 -. pi_bad) *. loss_good) +. (pi_bad *. loss_bad)
 
 type t = {
+  rng : Prng.Rng.t;
+  loss : loss_model;
+  dup_prob : float;
+  reorder_prob : float;
+  reorder_delay : float;
+  in_t : Netsim.Fvec.t;
+  in_tag : Netsim.Fvec.t;
+  out_t : Netsim.Fvec.t;
+  out_tag : Netsim.Fvec.t;
+  trace : Netsim.Tracebuf.t;
   regs : floatarray; (* 0 instant of the last output *)
   mutable held_t : floatarray; (* held packets by due time; equal: FIFO *)
   mutable held_tag : floatarray;
   mutable held_n : int;
-  out_t : Netsim.Fvec.t;
-  out_tag : Netsim.Fvec.t;
-  trace : Netsim.Tracebuf.t;
-  mutable in_t : Netsim.Fvec.t;
-  mutable in_tag : Netsim.Fvec.t;
-  mutable rng : Prng.Rng.t;
-  mutable loss : loss_model;
-  mutable dup_prob : float;
-  mutable reorder_prob : float;
-  mutable reorder_delay : float;
   mutable bad_state : bool;
   mutable out_nth : int; (* outputs so far at the last output's instant *)
   mutable lost : int;
@@ -56,23 +56,27 @@ type t = {
   mutable events : int; (* held deliveries this chunk *)
 }
 
-let create () =
-  let empty = Netsim.Fvec.create ~capacity:1 () in
+let create ~rng ~loss ~dup_prob ~reorder_prob ~reorder_delay ~in_t ~in_tag =
+  validate_loss loss;
+  check_prob ~name:"dup_prob" dup_prob;
+  check_prob ~name:"reorder_prob" reorder_prob;
+  if not (reorder_delay > 0.0) then
+    invalid_arg "Lossy: reorder_delay must be positive";
   {
+    rng;
+    loss;
+    dup_prob;
+    reorder_prob;
+    reorder_delay;
+    in_t;
+    in_tag;
+    out_t = Netsim.Fvec.create ();
+    out_tag = Netsim.Fvec.create ();
+    trace = Netsim.Tracebuf.create ();
     regs = Float.Array.make 1 neg_infinity;
     held_t = Float.Array.create 16;
     held_tag = Float.Array.create 16;
     held_n = 0;
-    out_t = Netsim.Fvec.create ~capacity:1024 ();
-    out_tag = Netsim.Fvec.create ~capacity:1024 ();
-    trace = Netsim.Tracebuf.create ();
-    in_t = empty;
-    in_tag = empty;
-    rng = Prng.Rng.create ~seed:0;
-    loss = No_loss;
-    dup_prob = 0.0;
-    reorder_prob = 0.0;
-    reorder_delay = 0.005;
     bad_state = false;
     out_nth = 0;
     lost = 0;
@@ -81,33 +85,6 @@ let create () =
     max_held = 0;
     events = 0;
   }
-
-let configure t ~rng ~loss ~dup_prob ~reorder_prob ~reorder_delay ~in_t
-    ~in_tag =
-  validate_loss loss;
-  check_prob ~name:"dup_prob" dup_prob;
-  check_prob ~name:"reorder_prob" reorder_prob;
-  if not (reorder_delay > 0.0) then
-    invalid_arg "Lossy: reorder_delay must be positive";
-  Float.Array.set t.regs 0 neg_infinity;
-  t.held_n <- 0;
-  Netsim.Fvec.clear t.out_t;
-  Netsim.Fvec.clear t.out_tag;
-  Netsim.Tracebuf.clear t.trace;
-  t.in_t <- in_t;
-  t.in_tag <- in_tag;
-  t.rng <- rng;
-  t.loss <- loss;
-  t.dup_prob <- dup_prob;
-  t.reorder_prob <- reorder_prob;
-  t.reorder_delay <- reorder_delay;
-  t.bad_state <- false;
-  t.out_nth <- 0;
-  t.lost <- 0;
-  t.duplicated <- 0;
-  t.reordered <- 0;
-  t.max_held <- 0;
-  t.events <- 0
 
 let drops t =
   match t.loss with
@@ -225,8 +202,6 @@ let trace t = t.trace
 let chunk_events t = t.events
 let max_pending t = t.max_held
 let lost t = t.lost
-let duplicated t = t.duplicated
-let reordered t = t.reordered
 
 let m_lost = Obs.Metrics.counter "faults.lossy.lost"
 let m_duplicated = Obs.Metrics.counter "faults.lossy.duplicated"

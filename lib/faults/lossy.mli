@@ -1,16 +1,12 @@
 (** Lossy wire: packet loss, duplication and bounded reordering, as a
-    stream stage between the gateway and the tap.
-
-    The paper's channel is fault-free; a real wire is not.  Every fault
-    here punctures or perturbs the constant-rate cover stream and therefore
-    hands the adversary side information the closed-form theorems never see
-    — the degradation scenario quantifies exactly how much.
+    stream stage between the gateway and the tap.  Every fault punctures
+    or perturbs the constant-rate cover stream, side information the
+    paper's fault-free theorems never see.
 
     The stage reads the (time, tag) stream of the stage before it (tag =
     payload creation time, NaN for a dummy) and writes the surviving
-    packets at their original, or boundedly delayed, instants.  All
-    randomness comes from the caller-supplied {!Prng.Rng.t}, so faulty
-    runs stay reproducible.  The event-loop wire of the same name in
+    packets at their original, or boundedly delayed, instants, drawing
+    on its own stream.  The event-loop wire of the same name in
     test/evloop/ is its reference. *)
 
 type loss_model =
@@ -35,12 +31,7 @@ val expected_loss_rate : loss_model -> float
 
 type t
 
-val create : unit -> t
-(** Reusable scratch (output and trace buffers, the held packets); one
-    per arena, reconfigured per run. *)
-
-val configure :
-  t ->
+val create :
   rng:Prng.Rng.t ->
   loss:loss_model ->
   dup_prob:float ->
@@ -48,8 +39,8 @@ val configure :
   reorder_delay:float ->
   in_t:Netsim.Fvec.t ->
   in_tag:Netsim.Fvec.t ->
-  unit
-(** Reset for a new run reading the upstream chunk output
+  t
+(** A wire for one run, reading the upstream chunk output
     [in_t]/[in_tag].  [dup_prob] duplicates a surviving packet at once;
     [reorder_prob] holds a surviving packet back by uniform(0,
     [reorder_delay]) + [reorder_delay]·1e-9, letting later packets
@@ -80,8 +71,6 @@ val max_pending : t -> int
 (** High-water mark of held packets. *)
 
 val lost : t -> int
-val duplicated : t -> int
-val reordered : t -> int
 
 val flush : t -> unit
 (** Fold the run's counters into the [faults.lossy.*] registry

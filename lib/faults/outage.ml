@@ -1,13 +1,13 @@
 type t = {
-  regs : floatarray; (* 0 next transition, 1 instant of the last input *)
+  rng : Prng.Rng.t;
+  in_t : Netsim.Fvec.t;
+  in_tag : Netsim.Fvec.t;
   out_t : Netsim.Fvec.t;
   out_tag : Netsim.Fvec.t;
   trace : Netsim.Tracebuf.t;
-  mutable in_t : Netsim.Fvec.t;
-  mutable in_tag : Netsim.Fvec.t;
-  mutable rng : Prng.Rng.t;
-  mutable mean_up : float;
-  mutable mean_down : float;
+  mean_up : float;
+  mean_down : float;
+  regs : floatarray; (* 0 next transition, 1 instant of the last input *)
   mutable down : bool;
   mutable in_nth : int; (* inputs so far at the last input's instant *)
   mutable gate : bool; (* the flapping gate record is still to count *)
@@ -16,53 +16,35 @@ type t = {
   mutable events : int; (* events this chunk *)
 }
 
-let create () =
-  let empty = Netsim.Fvec.create ~capacity:1 () in
-  {
-    regs = Float.Array.make 2 infinity;
-    out_t = Netsim.Fvec.create ~capacity:1024 ();
-    out_tag = Netsim.Fvec.create ~capacity:1024 ();
-    trace = Netsim.Tracebuf.create ();
-    in_t = empty;
-    in_tag = empty;
-    rng = Prng.Rng.create ~seed:0;
-    mean_up = 1.0;
-    mean_down = 1.0;
-    down = false;
-    in_nth = 0;
-    gate = false;
-    outages = 0;
-    dropped = 0;
-    events = 0;
-  }
-
 let exp_draw t mean = -.mean *. log (Prng.Rng.float_pos t.rng)
 
-let configure t ~rng ~flap ~in_t ~in_tag =
-  Netsim.Fvec.clear t.out_t;
-  Netsim.Fvec.clear t.out_tag;
-  Netsim.Tracebuf.clear t.trace;
-  t.in_t <- in_t;
-  t.in_tag <- in_tag;
-  t.rng <- rng;
-  t.down <- false;
-  t.in_nth <- 0;
-  t.outages <- 0;
-  t.dropped <- 0;
-  t.events <- 0;
-  Float.Array.set t.regs 1 neg_infinity;
-  match flap with
-  | Some (mean_up, mean_down) ->
-      if mean_up <= 0.0 || mean_down <= 0.0 then
-        invalid_arg "Outage.configure: flap means must be positive";
-      t.mean_up <- mean_up;
-      t.mean_down <- mean_down;
-      t.gate <- true;
-      (* The link starts up at simulated 0.0. *)
-      Float.Array.set t.regs 0 (0.0 +. exp_draw t mean_up)
-  | None ->
-      t.gate <- false;
-      Float.Array.set t.regs 0 infinity
+let create ~rng ~flap ~in_t ~in_tag =
+  let mean_up, mean_down = Option.value flap ~default:(infinity, infinity) in
+  if mean_up <= 0.0 || mean_down <= 0.0 then
+    invalid_arg "Outage.create: flap means must be positive";
+  let t =
+    {
+      rng;
+      in_t;
+      in_tag;
+      out_t = Netsim.Fvec.create ();
+      out_tag = Netsim.Fvec.create ();
+      trace = Netsim.Tracebuf.create ();
+      mean_up;
+      mean_down;
+      regs = Float.Array.make 2 neg_infinity;
+      down = false;
+      in_nth = 0;
+      gate = Option.is_some flap;
+      outages = 0;
+      dropped = 0;
+      events = 0;
+    }
+  in
+  (* The link starts up at simulated 0.0. *)
+  Float.Array.set t.regs 0
+    (if t.gate then 0.0 +. exp_draw t mean_up else infinity);
+  t
 
 let transition t ~now =
   t.events <- t.events + 1;
@@ -127,7 +109,6 @@ let out_tags t = t.out_tag
 let trace t = t.trace
 let chunk_events t = t.events
 let dropped t = t.dropped
-let outages t = t.outages
 
 let m_outages = Obs.Metrics.counter "faults.outage.outages"
 let m_dropped = Obs.Metrics.counter "faults.outage.dropped"

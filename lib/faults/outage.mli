@@ -5,27 +5,21 @@
     flapping process with exponential up and down holding times, drawn
     lazily from the stage's own stream: the link starts up, goes down
     one up-time draw later, comes back one down-time draw after that,
-    and so on.  Every hole the stage punches in the cover stream is
-    visible to the tap downstream — that visibility is the point.  The
-    event-loop injector of the same name in test/evloop/ is its
-    reference. *)
+    and so on; the tap sees every hole.  The event-loop injector of the
+    same name in test/evloop/ is its reference. *)
 
 type t
 
-val create : unit -> t
-(** Reusable scratch; one per arena, reconfigured per run. *)
-
-val configure :
-  t ->
+val create :
   rng:Prng.Rng.t ->
   flap:(float * float) option ->
   in_t:Netsim.Fvec.t ->
   in_tag:Netsim.Fvec.t ->
-  unit
-(** Reset for a new run reading the upstream chunk output
-    [in_t]/[in_tag].  [flap = Some (mean_up, mean_down)] flaps the link
-    (both means > 0, else [Invalid_argument]) and draws the first up
-    time; [None] leaves it up. *)
+  t
+(** A link for one run, reading the upstream chunk output
+    [in_t]/[in_tag].  [flap = Some (mean_up, mean_down)] flaps it (both
+    means > 0, else [Invalid_argument]) and draws the first up time;
+    [None] leaves it up. *)
 
 val advance : t -> until:float -> unit
 (** Pass the upstream chunk through, with the link transitions due by
@@ -46,9 +40,6 @@ val chunk_events : t -> int
 
 val dropped : t -> int
 (** Packets discarded while down. *)
-
-val outages : t -> int
-(** Down transitions so far. *)
 
 val flush : t -> unit
 (** Fold the run's counters into the [faults.outage.*] registry

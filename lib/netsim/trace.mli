@@ -24,4 +24,4 @@ val load : path:string -> meta * float array
     content (with the offending line number), [Sys_error] on I/O. *)
 
 val piats : float array -> float array
-(** Consecutive differences; mirrors {!Tap.piats} for loaded traces. *)
+(** Consecutive differences: the PIATs of a loaded trace. *)

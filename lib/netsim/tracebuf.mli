@@ -66,27 +66,21 @@ val drop_dummy : float
 val drop_cross : float
 (** Link-queue drop of the given kind; displayed at [key]. *)
 
-(** Gateway faults, displayed at [key]: *)
+(** Fault records, displayed at [key]: the gateway's [timer_miss],
+    [timer_catchup], [gateway_crash] ([x] = payload queued, lost with
+    it), [gateway_restart] and [drop_gw_down] (a payload arrival lost
+    while down); the wire's [drop_loss], [reordered], [dup] and
+    [drop_outage] ([x] = the packet's tag, NaN for a dummy, which gives
+    the record's [kind]); and [outage_start] / [outage_end]. *)
 
 val timer_miss : float
 val timer_catchup : float
-
 val gateway_crash : float
-(** [x] = payload packets queued, lost with the gateway. *)
-
 val gateway_restart : float
-
 val drop_gw_down : float
-(** A payload arrival lost while the gateway is down. *)
-
-(** Wire faults, displayed at [key]; [x] is the packet's tag (NaN for a
-    dummy, which decides the record's [kind]): *)
-
 val drop_loss : float
 val reordered : float
 val dup : float
 val drop_outage : float
-
 val outage_start : float
 val outage_end : float
-(** Link-down and link-up transitions; no payload. *)

@@ -1,10 +1,10 @@
 (** Arrival train of one source on the fused pipeline: the time of its
     next event, stepped as [next = prev +. dt] like the event loop, so
-    every event time is bit-identical to the {!Traffic_gen} source with
-    the same law and stream — {!Traffic_gen.poisson} (intervals
-    block-filled from the stream), {!Traffic_gen.cbr} (no draws) and
-    the event-loop on/off source kept as the reference in [test/evloop/]
-    (one scalar step per event, in its draw order).  {!next} performs
+    every event time is bit-identical to the event-loop source with the
+    same law and stream — {!Traffic_gen.poisson} (intervals
+    block-filled from the stream), and the CBR (no draws) and on/off
+    (one scalar step per event, in its draw order) sources kept as the
+    reference in [test/evloop/].  {!next} performs
     no allocation. *)
 
 type law = [ `Poisson | `Cbr | `On_off of float * float * float option ]

@@ -18,18 +18,9 @@
    arrivals in the last [window] and the backlog, clamped to the period
    band, and the jitter draw sees no IRQ-blocking arrivals.
 
-   Gateway faults (the event-loop [Faults.Crash] and [Faults.Clock] in
-   test/evloop/ are the reference).  A faulty clock is a timer-law
-   variant on its own stream: each interval is the timer draw scaled by
-   (1 + drift), up to [max_consecutive_misses] fires are masked with
-   probability [miss_prob], and a masked fire is coalesced into the
-   interval or replayed after it as catch-up fires [catchup_spacing]
-   apart.  A crash is a silence window: the queue and the IRQ window are
-   lost, fires stop, pending emissions still leave, arrivals are counted
-   and lost, and at the restart the gateway starts afresh (last emission
-   reset to the restart instant, first fire one interval later, next
-   crash one exponential draw later).  [advance] splits a chunk at crash
-   and restart instants; the fault-free loop is untouched.
+   Gateway faults: a faulty clock is a timer-law variant on its own
+   stream; a crash is a silence window, and [advance] splits its chunk
+   at crash and restart instants (see kernel.mli).
 
    Same-instant events: a pending emission goes first (the event loop
    pushed it before the coinciding fire's queue record, and its order
@@ -64,12 +55,12 @@ type faults = {
 }
 
 (* How the fire after a fire is timed. *)
-type law = Fixed | Drifting of clock | Adaptive of adaptive
+type law = Fixed | Drifting of faults | Adaptive of adaptive
 
 type t = {
   regs : floatarray;
-      (* 0 next_fire, 1 last_emit, 2 next crash, 3 restart (infinity while
-         up), 4 the crashed timer's queued fire, 5 went down, 6 downtime *)
+      (* 0 next_fire, 1 last_emit, 2 next crash or restart, 3 went down,
+         4 the crashed timer's queued fire, 5 downtime *)
   arrivals : Netsim.Train.t; (* payload arrivals *)
   queue : Netsim.Fring.t; (* queued payload creation times *)
   window : Netsim.Fring.t; (* arrivals in the IRQ blocking (or rate) window *)
@@ -80,10 +71,10 @@ type t = {
   out_tag : Netsim.Fvec.t;
   trace : Netsim.Tracebuf.t;
   mutable rng_gateway : Prng.Rng.t;
-  mutable rng_clock : Prng.Rng.t;
   mutable timer : Timer.law;
   mutable law : law;
   mutable faults : faults option;
+  mutable down : bool; (* between a crash and its restart *)
   mutable jitter : Jitter.t;
   mutable packet_size : int;
   mutable arrival_last : bool; (* arrivals re-armed after the timer *)
@@ -102,7 +93,7 @@ type t = {
 let create () =
   let dummy_rng = Prng.Rng.create ~seed:0 in
   {
-    regs = Float.Array.make 7 0.0;
+    regs = Float.Array.make 6 0.0;
     arrivals = Netsim.Train.create ();
     queue = Netsim.Fring.create ~capacity:64 ();
     window = Netsim.Fring.create ~capacity:64 ();
@@ -113,10 +104,10 @@ let create () =
     out_tag = Netsim.Fvec.create ~capacity:1024 ();
     trace = Netsim.Tracebuf.create ();
     rng_gateway = dummy_rng;
-    rng_clock = dummy_rng;
     timer = Timer.Constant 0.010;
     law = Fixed;
     faults = None;
+    down = false;
     jitter = Jitter.none;
     packet_size = 500;
     arrival_last = true;
@@ -135,10 +126,11 @@ let create () =
 (* The faulty clock's interval: the drifted timer draw, plus one more for
    each masked fire; the masked fires are replayed afterwards unless
    they coalesce.  Inlined into the fire, so no float is boxed. *)
-let[@inline] drifted t (c : clock) =
-  Timer.draw t.timer t.rng_clock *. (1.0 +. c.drift)
+let[@inline] drifted t f =
+  Timer.draw t.timer f.rng_clock *. (1.0 +. f.clock.drift)
 
-let[@inline] drifting t (c : clock) ~now =
+let[@inline] drifting t f ~now =
+  let c = f.clock in
   if t.catchup > 0 then begin
     t.catchup <- t.catchup - 1;
     if Obs.Trace.enabled () then
@@ -147,12 +139,12 @@ let[@inline] drifting t (c : clock) ~now =
     catchup_spacing
   end
   else begin
-    let span = ref (drifted t c) in
+    let span = ref (drifted t f) in
     let missed = ref 0 in
     while
       !missed < c.max_consecutive_misses
       && c.miss_prob > 0.0
-      && Prng.Rng.float t.rng_clock < c.miss_prob
+      && Prng.Rng.float f.rng_clock < c.miss_prob
     do
       (* This fire is masked; the train reaches the wire one (drifted)
          period later. *)
@@ -160,7 +152,7 @@ let[@inline] drifting t (c : clock) ~now =
       if Obs.Trace.enabled () then
         Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.timer_miss
           ~x:0.0 ~y:0.0;
-      span := !span +. drifted t c
+      span := !span +. drifted t f
     done;
     t.missed_fires <- t.missed_fires + !missed;
     if (not c.coalesce) && !missed > 0 then t.catchup <- !missed;
@@ -173,7 +165,7 @@ let first_fire t ~now =
   Float.Array.set t.regs 0
     (match t.law with
     | Fixed -> now +. Timer.draw t.timer t.rng_gateway
-    | Drifting c -> now +. drifting t c ~now
+    | Drifting f -> now +. drifting t f ~now
     | Adaptive a -> now +. a.max_period)
 
 let arm_crash t f ~now =
@@ -182,22 +174,12 @@ let arm_crash t f ~now =
        now +. (-.f.mtbf *. log (Prng.Rng.float_pos f.rng_failure))
      else infinity)
 
-let is_ideal (c : clock) =
-  c.drift = 0.0 && c.miss_prob = 0.0 && c.coalesce
-  && c.max_consecutive_misses = 1
-
 let setup ~payload ~adaptive ~faults t ~rng_payload ~rng_gateway ~timer ~jitter
     ~packet_size ~payload_rate =
   (match adaptive with
   | Some (a : adaptive) when a.window <= 0.0 ->
       invalid_arg "Kernel.configure: window <= 0"
   | _ -> ());
-  (match faults with
-  | Some f ->
-      if not (f.mtbf > 0.0) then invalid_arg "Kernel.configure: mtbf <= 0";
-      if not (f.restart_delay > 0.0) then
-        invalid_arg "Kernel.configure: restart_delay <= 0"
-  | None -> ());
   Netsim.Fring.clear t.queue;
   Netsim.Fring.clear t.window;
   Netsim.Fring.clear t.pend_t;
@@ -212,9 +194,12 @@ let setup ~payload ~adaptive ~faults t ~rng_payload ~rng_gateway ~timer ~jitter
   t.law <-
     (match (adaptive, faults) with
     | Some a, _ -> Adaptive a
-    | None, Some f when not (is_ideal f.clock) -> Drifting f.clock
+    | None, Some f
+      when f.clock
+           <> { drift = 0.0; miss_prob = 0.0; coalesce = true;
+                max_consecutive_misses = 1 } ->
+        Drifting f
     | None, _ -> Fixed);
-  t.rng_clock <- (match faults with Some f -> f.rng_clock | None -> rng_gateway);
   t.faults <- faults;
   t.jitter <- jitter;
   t.packet_size <- packet_size;
@@ -228,9 +213,9 @@ let setup ~payload ~adaptive ~faults t ~rng_payload ~rng_gateway ~timer ~jitter
   t.payload_lost <- 0;
   t.max_pend <- 0;
   t.events <- 0;
-  Float.Array.fill t.regs 2 5 infinity;
+  t.down <- false;
+  Float.Array.fill t.regs 2 4 infinity;
   Float.Array.set t.regs 5 0.0;
-  Float.Array.set t.regs 6 0.0;
   (* The gateway (its first fire, then its first crash) is created at
      simulated 0.0, before the payload source arms its first arrival. *)
   first_fire t ~now:0.0;
@@ -319,7 +304,7 @@ let on_fire t ~now =
   (* Sim.every: the fire body runs before the next interval is drawn. *)
   match t.law with
   | Fixed -> Float.Array.set t.regs 0 (now +. Timer.draw t.timer t.rng_gateway)
-  | Drifting c -> Float.Array.set t.regs 0 (now +. drifting t c ~now)
+  | Drifting f -> Float.Array.set t.regs 0 (now +. drifting t f ~now)
   | Adaptive a -> adapt t a ~now
 
 (* Emission event: the packet leaves for the first hop. *)
@@ -330,7 +315,8 @@ let[@inline] emit_pending t te =
   Netsim.Fvec.push t.out_t te;
   Netsim.Fvec.push t.out_tag tag
 
-(* The gateway up: arrivals, fires and emissions up to [until]. *)
+(* Arrivals, fires and emissions up to [until]; while the gateway is down
+   there are no fires and arrivals are counted and lost. *)
 let run t ~until =
   let continue = ref true in
   while !continue do
@@ -347,8 +333,16 @@ let run t ~until =
       (* payload arrival event: source emit + Gateway.input *)
       t.events <- t.events + 1;
       t.generated <- t.generated + 1;
-      Netsim.Fring.push t.window ta;
-      Netsim.Fring.push t.queue ta;
+      if t.down then begin
+        t.payload_lost <- t.payload_lost + 1;
+        if Obs.Trace.enabled () then
+          Netsim.Tracebuf.push t.trace ~key:ta ~code:Netsim.Tracebuf.drop_gw_down
+            ~x:0.0 ~y:0.0
+      end
+      else begin
+        Netsim.Fring.push t.window ta;
+        Netsim.Fring.push t.queue ta
+      end;
       Netsim.Train.next t.arrivals;
       t.arrival_last <- true
     end
@@ -356,29 +350,6 @@ let run t ~until =
       t.events <- t.events + 1;
       on_fire t ~now:tf;
       t.arrival_last <- false
-    end
-  done
-
-(* The gateway down: the pending emissions still leave; arrivals are
-   counted and lost. *)
-let run_down t ~until =
-  let continue = ref true in
-  while !continue do
-    let ta = Netsim.Train.head t.arrivals in
-    let te =
-      if Netsim.Fring.is_empty t.pend_t then infinity
-      else Netsim.Fring.peek t.pend_t
-    in
-    if Float.min ta te > until then continue := false
-    else if te <= ta then emit_pending t te
-    else begin
-      t.events <- t.events + 1;
-      t.generated <- t.generated + 1;
-      t.payload_lost <- t.payload_lost + 1;
-      if Obs.Trace.enabled () then
-        Netsim.Tracebuf.push t.trace ~key:ta ~code:Netsim.Tracebuf.drop_gw_down
-          ~x:0.0 ~y:0.0;
-      Netsim.Train.next t.arrivals
     end
   done
 
@@ -400,42 +371,34 @@ let crash t f ~now =
   if queued_fire < infinity then t.events <- t.events + 1;
   Float.Array.set t.regs 4 (Float.Array.get t.regs 0);
   Float.Array.set t.regs 0 infinity;
-  Float.Array.set t.regs 2 infinity;
-  Float.Array.set t.regs 5 now;
-  Float.Array.set t.regs 3 (now +. f.restart_delay)
+  t.down <- true;
+  Float.Array.set t.regs 3 now;
+  Float.Array.set t.regs 2 (now +. f.restart_delay)
 
 let restart t f ~now =
   t.events <- t.events + 1;
-  Float.Array.set t.regs 6
-    (Float.Array.get t.regs 6 +. (now -. Float.Array.get t.regs 5));
+  t.down <- false;
+  Float.Array.set t.regs 5
+    (Float.Array.get t.regs 5 +. (now -. Float.Array.get t.regs 3));
   if Obs.Trace.enabled () then
     Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.gateway_restart
       ~x:0.0 ~y:0.0;
-  Float.Array.set t.regs 3 infinity;
   Float.Array.set t.regs 1 now;
   (* The new timer is armed after the payload source's pending arrival. *)
   t.arrival_last <- false;
   first_fire t ~now;
   arm_crash t f ~now
 
-(* Events at a crash or restart instant go before it. *)
+(* Chunks split at crash and restart instants; events at such an instant
+   go before it. *)
 let rec run_faulty t f ~until =
-  let restart_at = Float.Array.get t.regs 3 in
-  if restart_at < infinity then
-    if restart_at <= until then begin
-      run_down t ~until:restart_at;
-      restart t f ~now:restart_at;
-      run_faulty t f ~until
-    end
-    else run_down t ~until
-  else
-    let crash_at = Float.Array.get t.regs 2 in
-    if crash_at <= until then begin
-      run t ~until:crash_at;
-      crash t f ~now:crash_at;
-      run_faulty t f ~until
-    end
-    else run t ~until
+  let next = Float.Array.get t.regs 2 in
+  if next <= until then begin
+    run t ~until:next;
+    if t.down then restart t f ~now:next else crash t f ~now:next;
+    run_faulty t f ~until
+  end
+  else run t ~until
 
 let advance t ~until =
   t.events <- 0;
@@ -467,10 +430,8 @@ let crashes t = t.crashes
 let payload_lost t = t.payload_lost
 
 let downtime t ~now =
-  Float.Array.get t.regs 6
-  +.
-  let restart_at = Float.Array.get t.regs 3 in
-  if restart_at < infinity then now -. Float.Array.get t.regs 5 else 0.0
+  Float.Array.get t.regs 5
+  +. if t.down then now -. Float.Array.get t.regs 3 else 0.0
 
 (* Same expression as [Gateway.overhead]. *)
 let overhead t =

@@ -18,12 +18,8 @@
     loop's queue sequence orders them: the train that re-armed earlier
     goes first, and at creation the fire is armed before the arrival.
     Such ties need CBR payload on the CIT timer's lattice; under Poisson
-    payload they have probability zero.
-
-    The kernel also runs the gateway faults of the degradation sweep
-    ({!faults}): a drifting clock that misses fires, and crashes.  Their
-    reference is the event-loop crash-restart wrapper and clock
-    generator kept in test/evloop/. *)
+    payload they have probability zero.  The gateway faults ({!faults})
+    are tested against the event-loop injectors in test/evloop/. *)
 
 type t
 
@@ -46,48 +42,40 @@ type adaptive = {
 
 type clock = {
   drift : float;
-      (** Fractional clock-rate error: intervals are scaled by
-          [1. +. drift]. *)
-  miss_prob : float;  (** Probability, per scheduled fire, that it is masked. *)
+  miss_prob : float;
   coalesce : bool;
-      (** [true]: masked fires are absorbed, and the wire sees one
-          interval of (k+1) periods.  [false]: after the overrun, the k
-          masked fires are replayed {!catchup_spacing} apart. *)
-  max_consecutive_misses : int;  (** Cap on k. *)
+  max_consecutive_misses : int;
 }
-(** A faulty gateway clock, a variant of the timer law.  The next fire
-    comes one timer draw × (1 + drift) after a fire, drawn on the clock's
-    own stream; then, while fewer than [max_consecutive_misses] fires
-    have been masked, a draw below [miss_prob] masks the fire and adds
-    one more drifted interval.  A clock with no drift and no misses
-    ([{drift = 0.; miss_prob = 0.; coalesce = true;
-    max_consecutive_misses = 1}]) is the plain timer law on the gateway
-    stream.  The count of fires still to replay survives a crash.  The
-    caller validates the spec. *)
+(** A faulty gateway clock, a timer-law variant drawn on its own stream.
+    The next fire comes one timer draw × (1 + [drift]) after a fire;
+    then, while fewer than [max_consecutive_misses] fires are masked, a
+    draw below [miss_prob] masks the fire and adds one more drifted
+    interval.  With [coalesce] the k masked fires are absorbed into that
+    hole; without it the next k intervals are {!catchup_spacing} each
+    and draw nothing (the fires replayed; the count survives a crash).
+    A clock with no drift and no misses is the plain timer law on the
+    gateway stream.  The caller validates the spec. *)
 
 val catchup_spacing : float
-(** Spacing of replayed catch-up fires (1 µs): back to back relative to
-    a millisecond-scale period, but strictly positive. *)
+(** 1 µs: back to back against a millisecond period, but positive. *)
 
 type faults = {
   clock : clock;
-  rng_clock : Prng.Rng.t;  (** the clock's draws *)
+  rng_clock : Prng.Rng.t;
   mtbf : float;  (** mean time between crashes; [infinity]: never *)
   restart_delay : float;
   rng_failure : Prng.Rng.t;  (** the crash instants' draws *)
 }
 (** Gateway faults.  Crash instants are exponential with mean [mtbf],
-    the first drawn at creation (time 0) and each later one at the
-    restart before it.  A crash is a silence window of [restart_delay]:
-    - at the crash the queued payload is lost, fires stop and the IRQ
-      window is cleared; emissions already pending still leave;
-    - payload arriving while the gateway is down is counted and lost;
-    - at the restart the gateway starts afresh: its last emission is
-      reset to the restart instant and its first fire comes one interval
-      after it.
-    Events at a crash or restart instant go before it.  With
-    [mtbf = infinity] and an ideal clock the kernel draws and computes
-    exactly what the fault-free kernel does. *)
+    drawn at creation (time 0) and then at each restart.  A crash
+    silences the gateway for [restart_delay]: the queued payload and the
+    IRQ window are lost and fires stop, but emissions already pending
+    leave; payload arriving while down is counted and lost.  The
+    restarted gateway's last emission is the restart instant, and its
+    first fire one interval later.  Events at a crash or restart instant
+    go before it.  With [mtbf = infinity] and an ideal clock the kernel
+    draws and computes what the fault-free kernel does.  The caller
+    validates: [mtbf > 0], [restart_delay > 0]. *)
 
 val create : unit -> t
 (** Allocate reusable scratch storage (rings, stream buffers, trace
@@ -127,15 +115,14 @@ val configure_faulty :
   unit
 (** {!configure} for a gateway with [faults], under Poisson payload: the
     first interval is drawn on the clock's stream unless the clock is
-    ideal, and the first crash instant is drawn after it.  Raises
-    [Invalid_argument] unless [mtbf > 0] and [restart_delay > 0]. *)
+    ideal, and the first crash instant is drawn after it. *)
 
 val advance : t -> until:float -> unit
 (** Process every arrival, fire and emission event with timestamp <=
-    [until], in time order, replaying [Gateway.on_fire]'s arithmetic
-    exactly, same-instant events in the tie order above.  Emissions of
-    the chunk are appended to {!out_times} / {!out_tags} (cleared on
-    entry). *)
+    [until] — and, with {!faults}, every crash and restart — in time
+    order, replaying [Gateway.on_fire]'s arithmetic exactly,
+    same-instant events in the tie order above.  Emissions of the chunk
+    are appended to {!out_times} / {!out_tags} (cleared on entry). *)
 
 val out_times : t -> Netsim.Fvec.t
 val out_tags : t -> Netsim.Fvec.t
@@ -143,7 +130,9 @@ val out_tags : t -> Netsim.Fvec.t
     {!advance}. *)
 
 val trace : t -> Netsim.Tracebuf.t
-(** Whole-run deferred [timer.fire] / [packet.sent] trace records. *)
+(** Whole-run deferred [timer.fire] / [packet.sent] trace records, and
+    with {!faults} [timer.miss] / [timer.catchup] / [gateway.crash] /
+    [gateway.restart] / [packet.dropped] (cause [gw_down]). *)
 
 val occupancy : t -> Netsim.Fvec.t
 (** This chunk's queue-occupancy observations (one per fire, pre-pop),
@@ -152,7 +141,9 @@ val occupancy : t -> Netsim.Fvec.t
 
 val chunk_events : t -> int
 (** Events the event loop would have dispatched for the last {!advance}
-    chunk (arrivals + fires + emissions). *)
+    chunk (arrivals + fires + emissions; with {!faults}, also crashes,
+    restarts, and each crashed timer's fire, which stays queued until
+    its time). *)
 
 val fires : t -> int
 val payload_sent : t -> int

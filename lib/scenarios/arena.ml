@@ -1,30 +1,24 @@
 type t = {
   sim : Desim.Sim.t;
   tap_times : Netsim.Fvec.t;
-  tap_sizes : Netsim.Fvec.t;
   gw : Padding.Gateway.Buffers.t;
   kernel_gw : Padding.Kernel.t;
   mutable kernel_hops : Netsim.Linkstage.t array;
   kernel_tap_trace : Netsim.Tracebuf.t;
   source : Netsim.Source.t;
   batch : Padding.Batch.t;
-  lossy : Faults.Lossy.t;
-  outage : Faults.Outage.t;
 }
 
 let fresh () =
   {
     sim = Desim.Sim.create ();
     tap_times = Netsim.Fvec.create ~capacity:1024 ();
-    tap_sizes = Netsim.Fvec.create ~capacity:1024 ();
     gw = Padding.Gateway.Buffers.create ();
     kernel_gw = Padding.Kernel.create ();
     kernel_hops = [||];
     kernel_tap_trace = Netsim.Tracebuf.create ();
     source = Netsim.Source.create ();
     batch = Padding.Batch.create ();
-    lossy = Faults.Lossy.create ();
-    outage = Faults.Outage.create ();
   }
 
 (* One arena per domain: Exec.Pool workers never share a simulator, and a

@@ -16,7 +16,6 @@
 type t = {
   sim : Desim.Sim.t;
   tap_times : Netsim.Fvec.t;
-  tap_sizes : Netsim.Fvec.t;
   gw : Padding.Gateway.Buffers.t;
   kernel_gw : Padding.Kernel.t;
       (** fused-gateway scratch for {!System.run}'s pipeline *)
@@ -26,8 +25,6 @@ type t = {
       (** deferred [tap.observe] records for the kernel's inline tap *)
   source : Netsim.Source.t;  (** payload source stage of unpadded and mix runs *)
   batch : Padding.Batch.t;  (** threshold-mix stage of {!System.run_mix} *)
-  lossy : Faults.Lossy.t;  (** wire stages of {!Degradation.run_faulty} *)
-  outage : Faults.Outage.t;
 }
 
 val get : fresh:bool -> t

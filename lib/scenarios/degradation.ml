@@ -90,27 +90,10 @@ let validate cfg =
   if cfg.payload_rate_pps <= 0.0 then
     invalid_arg "Degradation: payload_rate <= 0";
   if cfg.packet_size <= 0 then invalid_arg "Degradation: packet_size <= 0";
-  if cfg.warmup_piats < 0 then invalid_arg "Degradation: warmup_piats < 0"
-
-(* The gateway kernel with its faults: the kernel stage, plus the
-   [faults.clock.*] and [faults.crash.*] counters and the crash-restart
-   record in the event-queue-depth surrogate. *)
-let m_missed = Obs.Metrics.counter "faults.clock.missed_fires"
-let m_crashes = Obs.Metrics.counter "faults.crash.crashes"
-let m_payload_lost = Obs.Metrics.counter "faults.crash.payload_lost"
-
-let gateway_stage k =
-  let s = System.kernel_stage k in
-  {
-    s with
-    max_pending = (fun () -> 1 + s.max_pending ());
-    flush =
-      (fun ~with_utilization ~now ->
-        s.flush ~with_utilization ~now;
-        Obs.Metrics.add m_missed (Padding.Kernel.missed_fires k);
-        Obs.Metrics.add m_crashes (Padding.Kernel.crashes k);
-        Obs.Metrics.add m_payload_lost (Padding.Kernel.payload_lost k));
-  }
+  if cfg.warmup_piats < 0 then invalid_arg "Degradation: warmup_piats < 0";
+  if not (cfg.profile.mtbf > 0.0) then invalid_arg "Degradation: mtbf <= 0";
+  if not (cfg.profile.restart_delay > 0.0) then
+    invalid_arg "Degradation: restart_delay <= 0"
 
 let lossy_stage l =
   {
@@ -170,12 +153,12 @@ let run_faulty cfg ~piats =
         let rng_clock = Prng.Rng.split streams.root in
         let rng_failure = Prng.Rng.split streams.root in
         let rng_flap = Prng.Rng.split streams.root in
-        let k = arena.Arena.kernel_gw
-        and l = arena.Arena.lossy
-        and o = arena.Arena.outage in
-        Faults.Lossy.configure l ~rng:rng_wire ~loss:p.loss ~dup_prob:p.dup_prob
-          ~reorder_prob:p.reorder_prob ~reorder_delay:p.reorder_delay
-          ~in_t:(Padding.Kernel.out_times k) ~in_tag:(Padding.Kernel.out_tags k);
+        let k = arena.Arena.kernel_gw in
+        let l =
+          Faults.Lossy.create ~rng:rng_wire ~loss:p.loss ~dup_prob:p.dup_prob
+            ~reorder_prob:p.reorder_prob ~reorder_delay:p.reorder_delay
+            ~in_t:(Padding.Kernel.out_times k) ~in_tag:(Padding.Kernel.out_tags k)
+        in
         Padding.Kernel.configure_faulty k
           ~faults:
             {
@@ -188,11 +171,13 @@ let run_faulty cfg ~piats =
           ~rng_payload:streams.payload ~rng_gateway:streams.gateway
           ~timer:cfg.timer ~jitter:cfg.jitter ~packet_size:cfg.packet_size
           ~payload_rate:cfg.payload_rate_pps;
-        Faults.Outage.configure o ~rng:rng_flap ~flap:p.flap
-          ~in_t:(Faults.Lossy.out_times l) ~in_tag:(Faults.Lossy.out_tags l);
+        let o =
+          Faults.Outage.create ~rng:rng_flap ~flap:p.flap
+            ~in_t:(Faults.Lossy.out_times l) ~in_tag:(Faults.Lossy.out_tags l)
+        in
         stages := Some (k, l, o);
         {
-          System.stages = [ gateway_stage k; lossy_stage l; outage_stage o ];
+          System.stages = [ System.kernel_stage k; lossy_stage l; outage_stage o ];
           overhead = (fun () -> Padding.Kernel.overhead k);
           offered = (fun () -> Padding.Kernel.generated k);
         })

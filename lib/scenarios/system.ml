@@ -94,6 +94,9 @@ let m_gw_fires = Obs.Metrics.counter "padding.gateway.fires"
 let m_gw_payload = Obs.Metrics.counter "padding.gateway.payload_sent"
 let m_gw_dummy = Obs.Metrics.counter "padding.gateway.dummy_sent"
 let h_gw_occupancy = Obs.Metrics.histogram "padding.gateway.queue_occupancy"
+let m_missed = Obs.Metrics.counter "faults.clock.missed_fires"
+let m_crashes = Obs.Metrics.counter "faults.crash.crashes"
+let m_payload_lost = Obs.Metrics.counter "faults.crash.payload_lost"
 let m_link_enqueued = Obs.Metrics.counter "netsim.link.enqueued"
 let m_link_dropped = Obs.Metrics.counter "netsim.link.dropped"
 let g_link_hwm = Obs.Metrics.gauge "netsim.link.queue_hwm"
@@ -140,7 +143,11 @@ let kernel_stage k =
       (fun ~with_utilization:_ ~now:_ ->
         Obs.Metrics.add m_gw_fires (Padding.Kernel.fires k);
         Obs.Metrics.add m_gw_payload (Padding.Kernel.payload_sent k);
-        Obs.Metrics.add m_gw_dummy (Padding.Kernel.dummy_sent k));
+        Obs.Metrics.add m_gw_dummy (Padding.Kernel.dummy_sent k);
+        (* A faulty gateway's, [Padding.Kernel.configure_faulty]. *)
+        Obs.Metrics.add m_missed (Padding.Kernel.missed_fires k);
+        Obs.Metrics.add m_crashes (Padding.Kernel.crashes k);
+        Obs.Metrics.add m_payload_lost (Padding.Kernel.payload_lost k));
   }
 
 let source_stage src =
@@ -289,7 +296,6 @@ let pipeline ~scenario ~fresh_arena ~slack ~min_chunk cfg ~count ~count_error
   let tap_after = List.length origin.stages - 1 + tap_position in
   (* Inline tap and receiver state. *)
   Netsim.Fvec.clear arena.Arena.tap_times;
-  Netsim.Fvec.clear arena.Arena.tap_sizes;
   Netsim.Tracebuf.clear arena.Arena.kernel_tap_trace;
   let tap_payload = ref 0 and tap_dummy = ref 0 in
   let payload_received = ref 0 in
@@ -312,8 +318,7 @@ let pipeline ~scenario ~fresh_arena ~slack ~min_chunk cfg ~count ~count_error
              else Netsim.Tracebuf.observe_payload)
           ~x:size_f ~y:0.0
       end;
-      Netsim.Fvec.push arena.Arena.tap_times t;
-      Netsim.Fvec.push arena.Arena.tap_sizes size_f
+      Netsim.Fvec.push arena.Arena.tap_times t
     done
   in
   let absorb_receiver s =

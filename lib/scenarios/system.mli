@@ -154,51 +154,43 @@ val run_adaptive :
 
 (** {1 The staged pipeline}
 
-    For scenario drivers that put other stages in front of the hop chain
-    ({!Degradation}'s wire faults); the entry points above are its other
-    callers. *)
+    For scenario drivers that put other stages in front of the hop
+    chain, as {!Degradation} does with its wire faults. *)
 
 type stage = {
-  advance : float -> unit;
-      (** run the stage to a chunk boundary, leaving the chunk's output
-          in [out_times]/[out_tags] *)
+  advance : float -> unit;  (** run to a chunk boundary *)
   out_times : Netsim.Fvec.t;
   out_tags : Netsim.Fvec.t;
       (** the chunk's (time, tag) output: tag = payload creation time,
           NaN for a dummy *)
-  trace : Netsim.Tracebuf.t option;  (** whole-run deferred trace records *)
-  chunk_events : unit -> int;
-      (** what the event loop would have dispatched for the chunk *)
-  max_pending : unit -> int;
-      (** the stage's share of the [desim.queue_hwm] surrogate *)
+  trace : Netsim.Tracebuf.t option;  (** whole-run deferred records *)
+  chunk_events : unit -> int;  (** the event loop's events for the chunk *)
+  max_pending : unit -> int;  (** share of the [desim.queue_hwm] surrogate *)
   flush : with_utilization:bool -> now:float -> unit;
-      (** fold the stage's counters into the registry, at the end of the
-          run ([with_utilization]) and on starvation or a budget trip *)
+      (** fold the counters into the registry, at the end of the run
+          ([with_utilization]) or on starvation or a budget trip *)
 }
-(** One pipeline stage.  A stage reads the output of the stage before it
-    (or, in front, generates its own), and runs over a chunk before the
-    next stage does. *)
 
 type origin = {
   stages : stage list;  (** in pipeline order *)
   overhead : unit -> float;
   offered : unit -> int;
 }
-(** What an entry point puts in front of the hop chain, and the
-    accounting read off it after the run. *)
+(** What a driver puts in front of the hop chain, and the accounting
+    read off it after the run. *)
 
 type streams = {
-  root : Prng.Rng.t;  (** after the three splits below *)
+  root : Prng.Rng.t;
   payload : Prng.Rng.t;
   gateway : Prng.Rng.t;
-  cross : Prng.Rng.t;  (** split per cross-traffic hop *)
+  cross : Prng.Rng.t;
 }
-(** A run's random streams: three splits off [Prng.Rng.create ~seed], in
-    this order. *)
+(** A run's streams: three splits off [Prng.Rng.create ~seed], in this
+    order; [root] is left after them. *)
 
 val kernel_stage : Padding.Kernel.t -> stage
-(** The gateway kernel as a stage: flushes the [padding.gateway.*]
-    counters and observes the queue occupancy after each chunk. *)
+(** The gateway kernel as a stage, with the [padding.gateway.*] counters
+    and a faulty gateway's [faults.clock.*] / [faults.crash.*]. *)
 
 val pipeline :
   scenario:string ->
@@ -212,13 +204,11 @@ val pipeline :
   (Arena.t -> streams -> origin) ->
   result
 (** [pipeline ~scenario ... cfg ~count make_origin] runs the stages
-    [make_origin] configures from this domain's arena (a fresh one with
-    [fresh_arena]), then one {!Netsim.Linkstage} per hop of [cfg], with
-    the tap in front of hop [cfg.tap_position] and the receiver at the
-    end, until the tap holds [count] post-warm-up gaps.  The run is
-    traced as ["<scenario> seed=.. pps=.."].  [slack], [min_chunk] and
+    [make_origin] sets up, then one {!Netsim.Linkstage} per hop of
+    [cfg], the tap in front of hop [cfg.tap_position] and the receiver
+    at the end, until the tap holds [count] post-warm-up gaps.  The run
+    is traced as ["<scenario> seed=.. pps=.."]; [slack], [min_chunk] and
     [expected_rate] size the chunks ({!Starvation.drive}; the entry
-    points above use slack 1.1 and a 0.1 s minimum chunk).  Raises
-    [Invalid_argument count_error] if [count < 1], and
-    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] as
-    {!run} does. *)
+    points above use 1.1 and 0.1 s).  Raises [Invalid_argument
+    count_error] if [count < 1], and [Starvation.Tap_starved] /
+    [Desim.Sim.Event_budget_exceeded] as {!run} does. *)

@@ -53,7 +53,7 @@ let assemble arena (cfg : System.config) ~scenario ~count ~expected_rate
   let topo =
     Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
       ~tap_position:cfg.tap_position
-      ~tap_buffers:(arena.Arena.tap_times, arena.Arena.tap_sizes)
+      ~tap_buffers:(arena.Arena.tap_times, Netsim.Fvec.create ())
       ~dest:(Padding.Receiver.port receiver)
       ()
   in

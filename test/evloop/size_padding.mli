@@ -5,8 +5,10 @@
 
     Real payload packets vary in size, and the size *distribution* is
     rate- and application-correlated, so an unpadded size column leaks
-    just like the timing column.  This module pads every packet up to a
-    constant target size so the wire carries one size only. *)
+    just like the timing column.  This port pads every packet up to a
+    constant target size so the wire carries one size only.  The
+    size-padding ablation now raises each drawn size to the MTU itself;
+    this event-loop port is kept with the other reference components. *)
 
 val pad_port : target:int -> dest:Netsim.Link.port -> Netsim.Link.port
 (** [pad_port ~target ~dest] returns a port that re-emits each packet at

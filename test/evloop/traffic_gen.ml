@@ -34,3 +34,9 @@ let poisson_sized sim ~rng ~rate_pps ~size_of ~kind ~dest () =
     ~interval:(fun () -> Prng.Sampler.exponential rng ~rate:rate_pps)
     ~size_of:(fun () -> size_of rng)
     ~kind ~dest
+
+let modulated_poisson sim ~rng ~rate_fn ~rate_max ~size_bytes ~kind ~dest () =
+  let gen = Netsim.Packet.Id_gen.create () in
+  Netsim.Traffic_gen.modulated_arrivals sim ~rng ~rate_fn ~rate_max
+    ~f:(fun now -> dest (Netsim.Packet.make_gen gen ~kind ~size_bytes ~created:now))
+    ()

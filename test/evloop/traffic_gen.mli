@@ -1,6 +1,7 @@
-(** Event-loop payload sources with no staged-pipeline caller left: the
-    CBR source (the reference for {!Netsim.Train}'s [`Cbr] law) and the
-    variable-size Poisson source the size-padding ablation once ran on. *)
+(** Event-loop sources with no product caller left: the CBR source (the
+    reference for {!Netsim.Train}'s [`Cbr] law), the variable-size
+    Poisson source the size-padding ablation once ran on, and the
+    modulated Poisson source the diurnal cross traffic once ran on. *)
 
 type t
 
@@ -30,3 +31,16 @@ val poisson_sized :
   t
 (** Poisson arrivals with a per-packet size drawn from [size_of] after
     each gap (must return positive sizes). *)
+
+val modulated_poisson :
+  Desim.Sim.t ->
+  rng:Prng.Rng.t ->
+  rate_fn:(float -> float) ->
+  rate_max:float ->
+  size_bytes:int ->
+  kind:Netsim.Packet.kind ->
+  dest:Netsim.Link.port ->
+  unit ->
+  Netsim.Traffic_gen.t
+(** {!Netsim.Traffic_gen.modulated_arrivals} with one packet per
+    arrival. *)

@@ -24,14 +24,14 @@ let test_lossy_validation () =
   let empty = Netsim.Fvec.create () in
   Alcotest.check_raises "bad reorder delay (stage)"
     (Invalid_argument "Lossy: reorder_delay must be positive") (fun () ->
-      Faults.Lossy.configure (Faults.Lossy.create ()) ~rng ~loss:Faults.Lossy.No_loss
-        ~dup_prob:0.0 ~reorder_prob:0.0 ~reorder_delay:0.0 ~in_t:empty
-        ~in_tag:empty);
+      ignore
+        (Faults.Lossy.create ~rng ~loss:Faults.Lossy.No_loss ~dup_prob:0.0
+           ~reorder_prob:0.0 ~reorder_delay:0.0 ~in_t:empty ~in_tag:empty));
   Alcotest.check_raises "bad dup probability (stage)"
     (Invalid_argument "Lossy: dup_prob out of range") (fun () ->
-      Faults.Lossy.configure (Faults.Lossy.create ()) ~rng ~loss:Faults.Lossy.No_loss
-        ~dup_prob:1.0 ~reorder_prob:0.0 ~reorder_delay:0.005 ~in_t:empty
-        ~in_tag:empty)
+      ignore
+        (Faults.Lossy.create ~rng ~loss:Faults.Lossy.No_loss ~dup_prob:1.0
+           ~reorder_prob:0.0 ~reorder_delay:0.005 ~in_t:empty ~in_tag:empty))
 
 let test_lossy_bernoulli_rate () =
   let sim = Desim.Sim.create () in

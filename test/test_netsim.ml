@@ -388,7 +388,7 @@ let test_modulated_poisson_tracks_rate () =
   let rng = Prng.Rng.create ~seed:106 in
   let early = ref 0 and late = ref 0 in
   let _gen =
-    Netsim.Traffic_gen.modulated_poisson sim ~rng
+    Evloop.Traffic_gen.modulated_poisson sim ~rng
       ~rate_fn:(fun t -> if t < 100.0 then 10.0 else 100.0)
       ~rate_max:100.0 ~size_bytes:100 ~kind:Netsim.Packet.Cross
       ~dest:(fun _ ->

@@ -39,20 +39,20 @@ let test_poisson_sized () =
 let test_size_padding_pads () =
   let out = ref [] in
   let port =
-    Padding.Size_padding.pad_port ~target:1500
+    Evloop.Size_padding.pad_port ~target:1500
       ~dest:(fun p -> out := p.Netsim.Packet.size_bytes :: !out)
   in
-  Padding.Size_padding.reset_padded_bytes ();
+  Evloop.Size_padding.reset_padded_bytes ();
   port (Netsim.Packet.make ~kind:Netsim.Packet.Payload ~size_bytes:100 ~created:0.0);
   port (Netsim.Packet.make ~kind:Netsim.Packet.Dummy ~size_bytes:1500 ~created:0.0);
   Alcotest.(check (list int)) "all at target" [ 1500; 1500 ] !out;
   Alcotest.(check int) "padding accounted" 1400
-    (Padding.Size_padding.padded_bytes ())
+    (Evloop.Size_padding.padded_bytes ())
 
 let test_size_padding_preserves_kind_and_time () =
   let seen = ref None in
   let port =
-    Padding.Size_padding.pad_port ~target:1000 ~dest:(fun p -> seen := Some p)
+    Evloop.Size_padding.pad_port ~target:1000 ~dest:(fun p -> seen := Some p)
   in
   port (Netsim.Packet.make ~kind:Netsim.Packet.Dummy ~size_bytes:1 ~created:3.5);
   match !seen with
@@ -62,7 +62,7 @@ let test_size_padding_preserves_kind_and_time () =
   | None -> Alcotest.fail "nothing forwarded"
 
 let test_size_padding_rejects_oversize () =
-  let port = Padding.Size_padding.pad_port ~target:500 ~dest:(fun _ -> ()) in
+  let port = Evloop.Size_padding.pad_port ~target:500 ~dest:(fun _ -> ()) in
   Alcotest.check_raises "oversize"
     (Invalid_argument "Size_padding: packet exceeds the padding target")
     (fun () ->
