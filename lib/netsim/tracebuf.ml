@@ -32,7 +32,13 @@ let outage_start = 16.0
 let outage_end = 17.0
 let drop_outage = 18.0
 
-type t = { keys : Fvec.t; nths : Fvec.t; codes : Fvec.t; xs : Fvec.t; ys : Fvec.t }
+type t = {
+  keys : Fvec.t;
+  nths : Fvec.t;
+  codes : Fvec.t;
+  xs : Fvec.t;
+  ys : Fvec.t;
+}
 
 let create () =
   {
@@ -63,7 +69,8 @@ let push t ~key ~code ~x ~y = push_nth t ~key ~nth:0 ~code ~x ~y
 let key t i = Fvec.unsafe_get t.keys i
 let nth t i = int_of_float (Fvec.unsafe_get t.nths i)
 
-let kind_of_tag tag = Obs.Trace.S (if Float.is_nan tag then "dummy" else "payload")
+let kind_of_tag tag =
+  Obs.Trace.S (if Float.is_nan tag then "dummy" else "payload")
 
 (* Replay entry [i] through the live trace sink.  Field layout per code:
    timer_fire      x = queue length after the pop, y unused (displayed at key)

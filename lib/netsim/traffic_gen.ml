@@ -47,7 +47,8 @@ let modulated_arrivals sim ~rng ~rate_fn ~rate_max ~f () =
            let now = Desim.Sim.now sim in
            let rate = rate_fn now in
            if rate < 0.0 || rate > rate_max then
-             invalid_arg "Traffic_gen.modulated_arrivals: rate_fn out of [0, rate_max]";
+             invalid_arg
+               "Traffic_gen.modulated_arrivals: rate_fn out of [0, rate_max]";
            if Prng.Rng.float rng < rate /. rate_max then begin
              t.generated <- t.generated + 1;
              f now

@@ -307,14 +307,6 @@ let on_fire t ~now =
   | Drifting f -> Float.Array.set t.regs 0 (now +. drifting t f ~now)
   | Adaptive a -> adapt t a ~now
 
-(* Emission event: the packet leaves for the first hop. *)
-let[@inline] emit_pending t te =
-  ignore (Netsim.Fring.pop t.pend_t : float);
-  let tag = Netsim.Fring.pop t.pend_tag in
-  t.events <- t.events + 1;
-  Netsim.Fvec.push t.out_t te;
-  Netsim.Fvec.push t.out_tag tag
-
 (* Arrivals, fires and emissions up to [until]; while the gateway is down
    there are no fires and arrivals are counted and lost. *)
 let run t ~until =
@@ -328,7 +320,14 @@ let run t ~until =
     in
     let m = Float.min (Float.min ta tf) te in
     if m > until then continue := false
-    else if te = m then emit_pending t te
+    else if te = m then begin
+      (* emission event: the packet leaves for the first hop *)
+      ignore (Netsim.Fring.pop t.pend_t : float);
+      let tag = Netsim.Fring.pop t.pend_tag in
+      t.events <- t.events + 1;
+      Netsim.Fvec.push t.out_t te;
+      Netsim.Fvec.push t.out_tag tag
+    end
     else if ta = m && (tf > m || not t.arrival_last) then begin
       (* payload arrival event: source emit + Gateway.input *)
       t.events <- t.events + 1;
@@ -336,8 +335,8 @@ let run t ~until =
       if t.down then begin
         t.payload_lost <- t.payload_lost + 1;
         if Obs.Trace.enabled () then
-          Netsim.Tracebuf.push t.trace ~key:ta ~code:Netsim.Tracebuf.drop_gw_down
-            ~x:0.0 ~y:0.0
+          Netsim.Tracebuf.push t.trace ~key:ta
+            ~code:Netsim.Tracebuf.drop_gw_down ~x:0.0 ~y:0.0
       end
       else begin
         Netsim.Fring.push t.window ta;

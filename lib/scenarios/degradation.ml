@@ -157,7 +157,8 @@ let run_faulty cfg ~piats =
         let l =
           Faults.Lossy.create ~rng:rng_wire ~loss:p.loss ~dup_prob:p.dup_prob
             ~reorder_prob:p.reorder_prob ~reorder_delay:p.reorder_delay
-            ~in_t:(Padding.Kernel.out_times k) ~in_tag:(Padding.Kernel.out_tags k)
+            ~in_t:(Padding.Kernel.out_times k)
+            ~in_tag:(Padding.Kernel.out_tags k)
         in
         Padding.Kernel.configure_faulty k
           ~faults:
@@ -177,7 +178,8 @@ let run_faulty cfg ~piats =
         in
         stages := Some (k, l, o);
         {
-          System.stages = [ System.kernel_stage k; lossy_stage l; outage_stage o ];
+          System.stages =
+            [ System.kernel_stage k; lossy_stage l; outage_stage o ];
           overhead = (fun () -> Padding.Kernel.overhead k);
           offered = (fun () -> Padding.Kernel.generated k);
         })

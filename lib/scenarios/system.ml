@@ -144,7 +144,8 @@ let kernel_stage k =
         Obs.Metrics.add m_gw_fires (Padding.Kernel.fires k);
         Obs.Metrics.add m_gw_payload (Padding.Kernel.payload_sent k);
         Obs.Metrics.add m_gw_dummy (Padding.Kernel.dummy_sent k);
-        (* A faulty gateway's, [Padding.Kernel.configure_faulty]. *)
+        (* Zero unless the gateway is faulty
+           ([Padding.Kernel.configure_faulty]). *)
         Obs.Metrics.add m_missed (Padding.Kernel.missed_fires k);
         Obs.Metrics.add m_crashes (Padding.Kernel.crashes k);
         Obs.Metrics.add m_payload_lost (Padding.Kernel.payload_lost k));

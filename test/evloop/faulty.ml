@@ -35,7 +35,8 @@ let run_faulty (cfg : D.config) ~piats =
       ~dest:(Lossy.port lossy) ()
   in
   (match p.flap with
-  | Some (mean_up, mean_down) -> Outage.flap outage ~rng:rng_flap ~mean_up ~mean_down
+  | Some (mean_up, mean_down) ->
+      Outage.flap outage ~rng:rng_flap ~mean_up ~mean_down
   | None -> ());
   let source =
     Netsim.Traffic_gen.poisson sim ~rng:rng_payload

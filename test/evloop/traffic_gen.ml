@@ -26,7 +26,10 @@ let start sim ~interval ~size_of ~kind ~dest =
 let cbr sim ~rate_pps ~size_bytes ~kind ~dest () =
   if rate_pps <= 0.0 then invalid_arg "Traffic_gen.cbr: rate <= 0";
   let period = 1.0 /. rate_pps in
-  start sim ~interval:(fun () -> period) ~size_of:(fun () -> size_bytes) ~kind ~dest
+  start sim
+    ~interval:(fun () -> period)
+    ~size_of:(fun () -> size_bytes)
+    ~kind ~dest
 
 let poisson_sized sim ~rng ~rate_pps ~size_of ~kind ~dest () =
   if rate_pps <= 0.0 then invalid_arg "Traffic_gen.poisson_sized: rate <= 0";
@@ -38,5 +41,6 @@ let poisson_sized sim ~rng ~rate_pps ~size_of ~kind ~dest () =
 let modulated_poisson sim ~rng ~rate_fn ~rate_max ~size_bytes ~kind ~dest () =
   let gen = Netsim.Packet.Id_gen.create () in
   Netsim.Traffic_gen.modulated_arrivals sim ~rng ~rate_fn ~rate_max
-    ~f:(fun now -> dest (Netsim.Packet.make_gen gen ~kind ~size_bytes ~created:now))
+    ~f:(fun now ->
+      dest (Netsim.Packet.make_gen gen ~kind ~size_bytes ~created:now))
     ()

@@ -116,7 +116,9 @@ let test_faulty_run () =
         }
       in
       let run () =
-        ignore (Scenarios.Degradation.run_faulty cfg ~piats : Scenarios.Degradation.run_result)
+        ignore
+          (Scenarios.Degradation.run_faulty cfg ~piats
+            : Scenarios.Degradation.run_result)
       in
       let per_piat = words_per_call 1 run /. float_of_int piats in
       if per_piat > 140.0 then

@@ -533,43 +533,21 @@ let test_degradation_profile_validation () =
 (* --- Degradation: the staged faulty run against its event-loop
    reference --- *)
 
-(* Everything but the event-queue-depth gauge (a surrogate on the
-   pipeline) and the desim.kernel.* counters (which path ran). *)
-let filtered_snapshot snap =
-  List.filter
-    (fun (name, _) ->
-      name <> "desim.queue_hwm"
-      && not (String.length name >= 12 && String.sub name 0 12 = "desim.kernel"))
-    snap
-
-let snapshot_str snap =
-  Format.asprintf "%a" Obs.Metrics.Snapshot.pp (filtered_snapshot snap)
-
 (* One run from a clean registry, traced: its outcome (the result, or the
-   starvation it raised with the snapshot inside), the metric totals and
-   the ta-trace/1 bytes. *)
+   starvation it raised), the metric totals as [Test_kernel] compares
+   them, and the ta-trace/1 bytes. *)
 let traced_run engine cfg ~piats =
   Obs.Metrics.reset ();
-  let path = Filename.temp_file "faulty_trace" ".jsonl" in
-  Obs.Trace.enable ~path;
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Obs.Trace.disable ())
-      (fun () ->
-        let r =
-          match engine cfg ~piats with
-          | r -> Ok r
-          | exception
-              Scenarios.Starvation.Tap_starved
-                { scenario; target; observed; sim_time; metrics } ->
-              Error (scenario, target, observed, sim_time, snapshot_str metrics)
-        in
-        Obs.Trace.flush ();
-        r)
+  let outcome, trace =
+    Test_kernel.capture_trace (fun () ->
+        match engine cfg ~piats with
+        | r -> Ok r
+        | exception
+            Scenarios.Starvation.Tap_starved
+              { scenario; target; observed; sim_time; _ } ->
+            Error (scenario, target, observed, sim_time))
   in
-  let trace = In_channel.with_open_bin path In_channel.input_all in
-  Sys.remove path;
-  (outcome, snapshot_str (Obs.Metrics.snapshot ()), trace)
+  (outcome, Test_kernel.snapshot_str (), trace)
 
 let test_degradation_differential () =
   let profiles =
@@ -606,7 +584,11 @@ let test_degradation_differential_covers_faults () =
   Obs.Metrics.reset ();
   let r =
     Scenarios.Degradation.run_faulty
-      { Scenarios.Degradation.default_config with seed = 41; profile = Test_known_answers.hot_profile }
+      {
+        Scenarios.Degradation.default_config with
+        seed = 41;
+        profile = Test_known_answers.hot_profile;
+      }
       ~piats:2500
   in
   let count name =
