@@ -143,7 +143,9 @@ val chunk_events : t -> int
 (** Events the event loop would have dispatched for the last {!advance}
     chunk (arrivals + fires + emissions; with {!faults}, also crashes,
     restarts, and each crashed timer's fire, which stays queued until
-    its time). *)
+    its time — counted early, and so possibly once too often at the end
+    of a run, when the gateway crashes again within a timer period of
+    its restart). *)
 
 val fires : t -> int
 val payload_sent : t -> int

@@ -579,6 +579,79 @@ let test_degradation_differential () =
         [ 3; 41; 977 ])
     profiles
 
+(* The same differential over random profiles and both timer kinds:
+   coalescing and catch-up clocks with and without crashes, every loss
+   model, holds longer than a timer period, payload at either rate. *)
+let prop_degradation_differential =
+  let open QCheck.Gen in
+  let prob hi = float_range 0.0 hi in
+  let loss =
+    oneof
+      [
+        return Faults.Lossy.No_loss;
+        map (fun p -> Faults.Lossy.Bernoulli p) (prob 0.3);
+        map
+          (fun (a, b, c, d) ->
+            Faults.Lossy.Gilbert_elliott
+              { p_good_to_bad = a; p_bad_to_good = b; loss_good = c; loss_bad = d })
+          (quad (prob 0.2) (float_range 0.1 1.0) (prob 0.05) (prob 0.9));
+      ]
+  in
+  let profile =
+    map
+      (fun ((loss, dup_prob, reorder_prob, reorder_delay), (drift, miss, coalesce, k),
+            (flap, mtbf, restart_delay)) ->
+        {
+          Scenarios.Degradation.loss;
+          dup_prob;
+          reorder_prob;
+          reorder_delay;
+          clock =
+            {
+              Faults.Clock.drift;
+              miss_prob = miss;
+              coalesce;
+              max_consecutive_misses = k;
+            };
+          flap;
+          mtbf;
+          restart_delay;
+        })
+      (triple
+         (quad loss (prob 0.1) (prob 0.1) (float_range 0.001 0.02))
+         (quad (float_range (-0.01) 0.01) (prob 0.3) bool (int_range 1 4))
+         (triple
+            (opt (pair (float_range 0.5 5.0) (float_range 0.005 0.1)))
+            (oneof [ return infinity; float_range 1.0 20.0 ])
+            (float_range 0.05 0.3)))
+  in
+  let cfg =
+    map
+      (fun (seed, profile, vit, fast) ->
+        {
+          Scenarios.Degradation.default_config with
+          seed;
+          profile;
+          timer =
+            (if vit then Padding.Timer.Exponential { mean = 0.01 }
+             else Padding.Timer.Constant 0.01);
+          payload_rate_pps = (if fast then 40.0 else 10.0);
+        })
+      (quad (int_range 0 100_000) profile bool bool)
+  in
+  QCheck.Test.make ~name:"faulty run: staged = event loop on random profiles"
+    ~count:25
+    (QCheck.make
+       ~print:(fun (c : Scenarios.Degradation.config) ->
+         Printf.sprintf "seed %d, pps %g, mtbf %g, flap %b" c.seed
+           c.payload_rate_pps c.profile.mtbf (c.profile.flap <> None))
+       cfg)
+    (fun cfg ->
+      let piats = 600 in
+      let rp, sp, tp = traced_run Scenarios.Degradation.run_faulty cfg ~piats in
+      let re, se, te = traced_run Evloop.Faulty.run_faulty cfg ~piats in
+      Stdlib.compare rp re = 0 && sp = se && tp = te)
+
 (* The differential exercises every fault: it is not vacuous. *)
 let test_degradation_differential_covers_faults () =
   Obs.Metrics.reset ();
@@ -639,4 +712,5 @@ let suite =
       test_degradation_differential;
     Alcotest.test_case "degradation: differential covers every fault" `Quick
       test_degradation_differential_covers_faults;
+    QCheck_alcotest.to_alcotest prop_degradation_differential;
   ]
